@@ -21,10 +21,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The concurrency equivalence suite: differential oracles for the
-# speculative parallel router, the incremental STA, the corner-batched
-# STA, and the wavefront-parallel placer, shuffled and repeated under
-# the race detector.
+# The concurrency equivalence suite, shuffled and repeated under the race
+# detector: the overlapped CaseStudy and RunMany against sequential runs,
+# the incremental and corner-batched STA against full analysis, the
+# Monte-Carlo yield engine, and the A* heap oracle. scripts/check.sh
+# runs this target, so the package list lives here only.
 # -timeout: the flow suite alone runs ~8 min under -race on one core,
 # so count=2 overruns go test's 10m default.
 race-equiv:

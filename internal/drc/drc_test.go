@@ -1,6 +1,7 @@
 package drc
 
 import (
+	"context"
 	"testing"
 
 	"m3d/internal/cell"
@@ -33,7 +34,7 @@ func placedRouted(t *testing.T) (*floorplan.Floorplan, *netlist.Netlist, *route.
 	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, place.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	routes, err := route.Route(fp, b.NL, route.Options{MaxRipupRounds: 10})
+	routes, err := route.Route(context.Background(), fp, b.NL, route.Options{MaxRipupRounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +164,69 @@ func TestDetectsBadRouteGeometry(t *testing.T) {
 	}
 	if rep.ByKind()[KindRouteGeom] == 0 {
 		t.Error("bad segment not detected")
+	}
+}
+
+// TestUnroutableNetFlaggedDangling routes over an impassable ILV
+// boundary (CNFET keep-out over the whole die, so no via crosses from
+// the lower to the upper metals): a Si driver reaches its Si sink but
+// none of its CNFET sinks. The net must be flagged failed, counted once
+// however many sinks it lost, and reported dangling at sign-off.
+func TestUnroutableNetFlaggedDangling(t *testing.T) {
+	p := tech.Default130()
+	siLib, err := cell.NewLibrary(p, tech.TierSiCMOS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnLib, err := cell.NewLibrary(p, tech.TierCNFET)
+	if err != nil {
+		t.Fatal(err)
+	}
+	die := geom.R(0, 0, 200_000, 200_000)
+	fp, err := floorplan.New(p, die)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.AddBlockage(tech.TierCNFET, die)
+
+	nl := netlist.New("blocked")
+	place := func(inst *netlist.Instance, x, y int64) {
+		inst.Pos = geom.Pt(x, y)
+		inst.Fixed = true
+	}
+	drv := nl.AddCell("drv", siLib.MustPick(cell.Inv, 1))
+	place(drv, 20_000, 20_000)
+	n := nl.AddNet("n", 0.1)
+	nl.MustPin(drv, "Y", true, 0, n)
+	si := nl.AddCell("si", siLib.MustPick(cell.Inv, 1))
+	place(si, 150_000, 20_000)
+	nl.MustPin(si, "A", false, si.Cell.InputCapF, n)
+	for _, name := range []string{"cn0", "cn1"} {
+		cn := nl.AddCell(name, cnLib.MustPick(cell.Inv, 1))
+		place(cn, int64(len(nl.Instances))*40_000, 150_000)
+		nl.MustPin(cn, "A", false, cn.Cell.InputCapF, n)
+	}
+
+	routes, err := route.Route(context.Background(), fp, nl, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr := routes.Routes[n]
+	if nr == nil || !nr.Failed {
+		t.Fatalf("net with unreachable sinks not flagged failed: %+v", nr)
+	}
+	if nr.WLdbu == 0 {
+		t.Error("the reachable Si sink was not routed")
+	}
+	if routes.FailedNets != 1 {
+		t.Errorf("FailedNets = %d, want 1 (one net, however many sinks failed)", routes.FailedNets)
+	}
+	rep, err := Audit(fp, nl, routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ByKind()[KindDangling] != 1 {
+		t.Errorf("dangling violations = %d, want 1", rep.ByKind()[KindDangling])
 	}
 }
 

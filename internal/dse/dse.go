@@ -10,11 +10,10 @@
 // neighbourhood, typically issuing a small fraction of the brute-force
 // grid's model evaluations (see EXPERIMENTS.md).
 //
-// Determinism contract (the route/parallel.go discipline): candidate
-// batches are generated single-threaded in canonical lattice order —
-// seeded random exploration included — evaluated on the exec worker pool
-// (results land at their input index), and committed to the archive
-// serially in that order. Every flushed Update and the final Result are
+// Determinism contract: candidate batches are generated single-threaded
+// in canonical lattice order — seeded random exploration included —
+// evaluated on the exec worker pool (results land at their input
+// index), and committed to the archive serially in that order. Every flushed Update and the final Result are
 // therefore deep-equal at any worker width. Point evaluations memoize
 // through an exec.Cache (Options.Cache) so repeated requests — and the
 // brute-force comparison — share work without affecting results.

@@ -17,6 +17,10 @@
 // registry additionally collects per-stage wall-time histograms
 // ("flow.stage.seconds.<stage>").
 //
+// The stages of one run execute serially. Parallelism lives across
+// independent flows: WithWorkers sets the width of RunMany's pool and of
+// CaseStudy's overlap of its two designs.
+//
 // Error contract: invalid specs fail with an error matching
 // errs.ErrBadSpec; cancellation surfaces as errs.ErrCanceled (also
 // matching the context sentinel); the optional WithThermalCheck sign-off
@@ -25,6 +29,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -475,18 +480,44 @@ func Run(p *tech.PDK, spec SoCSpec, opts ...exec.Option) (*Result, error) {
 }
 
 // RunContext executes the full flow for one SoC spec under ctx: the run
-// is abandoned between stages once ctx is cancelled (error matches
-// errs.ErrCanceled), and any tracer/metrics attached to ctx (or passed
-// as options) instrument the stages.
+// is abandoned between stages, or between nets while routing, once ctx
+// is cancelled (error matches errs.ErrCanceled), and any tracer/metrics
+// attached to ctx (or passed as options) instrument the stages.
 func RunContext(ctx context.Context, p *tech.PDK, spec SoCSpec, opts ...exec.Option) (*Result, error) {
 	st := resolve(ctx, opts)
 	return runWith(st.Ctx, st, p, spec)
 }
 
-// runWith is the flow body. Sinks come from the settings (options)
-// merged over the spec's deprecated writer fields; the spec used for all
-// computation is pure.
+// runWith is the flow body: prepare, then finish. Sinks come from the
+// settings (options) merged over the spec's deprecated writer fields;
+// the spec used for all computation is pure.
 func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) (*Result, error) {
+	run, err := prepare(ctx, st, p, spec)
+	if err != nil {
+		return nil, err
+	}
+	return run.finish(ctx, st)
+}
+
+// prepared is a flow run through floorplanning: the synthesized netlist
+// globally placed on its final die. Nothing after this point changes the
+// die, which is what lets CaseStudy start the iso-footprint M3D run while
+// the 2D run finishes.
+type prepared struct {
+	p            *tech.PDK
+	spec         SoCSpec
+	sinks        Sinks
+	tr           stageTrace
+	root         obs.Span // the run's "flow.run" span; finish ends it
+	siLib, cnLib *cell.Library
+	parts        *socParts
+	fp           *floorplan.Floorplan
+	die          geom.Rect
+	tiers        []tech.Tier
+}
+
+// prepare runs synthesis and the floorplan/global-place stage.
+func prepare(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) (_ *prepared, err error) {
 	spec = spec.withDefaults()
 	sinks := Sinks{GDS: spec.WriteGDS, Verilog: spec.WriteVerilog, DEF: spec.WriteDEF}.tee(sinksOf(st))
 	spec = spec.pure()
@@ -508,7 +539,11 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	var root obs.Span
 	if st.Tracer != nil {
 		root = st.Tracer.StartSpan("flow.run", tr.base...)
-		defer root.End()
+		defer func() {
+			if err != nil {
+				root.End()
+			}
+		}()
 	}
 
 	siLib, err := cell.NewLibrary(p, tech.TierSiCMOS)
@@ -601,7 +636,7 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 		}
 		if err = fp.PackMacros3D(nl.MacroInstances()); err == nil {
 			for _, tier := range tiers {
-				if _, err = place.Global(fp, nl, tier, place.Options{Seed: spec.Seed, Workers: st.Workers}); err != nil {
+				if _, err = place.Global(fp, nl, tier, place.Options{Seed: spec.Seed}); err != nil {
 					break
 				}
 			}
@@ -616,6 +651,21 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 		die = geom.R(die.Lo.X, die.Lo.Y, die.Lo.X+die.W()*115/100, die.Lo.Y+die.H()*115/100)
 	}
 	endFloorplan()
+	return &prepared{
+		p: p, spec: spec, sinks: sinks, tr: tr, root: root,
+		siLib: siLib, cnLib: cnLib, parts: parts, fp: fp, die: die, tiers: tiers,
+	}, nil
+}
+
+// finish runs the stages after floorplanning — refinement, CTS, route,
+// STA, power, sign-off and export — and ends the run's root span.
+func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, error) {
+	if r.root != nil {
+		defer r.root.End()
+	}
+	p, spec, tr, fp, nl, die := r.p, r.spec, r.tr, r.fp, r.parts.nl, r.die
+	siLib, cnLib, parts, tiers := r.siLib, r.cnLib, r.parts, r.tiers
+	var err error
 
 	// 3. Detailed-placement refinement (annealed same-footprint swaps)
 	// and legality sign-off.
@@ -658,22 +708,16 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 		tr.skip("cts")
 	}
 
-	// 4. Global routing: speculative parallel at the pool width, with
-	// ordered commits keeping the result byte-identical to a serial route.
+	// 4. Global routing.
 	endRoute := tr.start("route")
-	var rst route.Stats
-	routes, err := route.Route(fp, nl, route.Options{
-		IncludeClock: spec.RunCTS,
-		Workers:      st.Workers,
-		Stats:        &rst,
-	})
+	routes, err := route.Route(ctx, fp, nl, route.Options{IncludeClock: spec.RunCTS})
 	endRoute()
 	if err != nil {
 		return nil, fmt.Errorf("flow: route: %w", err)
 	}
-	st.Metrics.Counter("flow.route.nets.committed").Add(int64(rst.SpecCommitted))
-	st.Metrics.Counter("flow.route.nets.rerouted").Add(int64(rst.SpecRerouted))
-	st.Metrics.Counter("flow.route.batches").Add(int64(rst.Batches))
+	st.Metrics.Counter("flow.route.searches").Add(int64(routes.Stats.Searches))
+	st.Metrics.Counter("flow.route.expanded").Add(int64(routes.Stats.Expanded))
+	st.Metrics.Counter("flow.route.pushes").Add(int64(routes.Stats.Pushes))
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -786,11 +830,11 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	res.IRDrop = ir
 
 	// 8. Interchange exports.
-	if sinks.empty() {
+	if r.sinks.empty() {
 		tr.skip("gds")
 	} else {
 		endGDS := tr.start("gds")
-		err := res.export(sinks)
+		err := res.export(r.sinks)
 		endGDS()
 		if err != nil {
 			return nil, err
@@ -805,6 +849,12 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 // iso-footprint, iso-on-chip-memory-capacity by construction. Options
 // (context, tracer, metrics) apply to both runs; export sinks are not
 // forwarded.
+//
+// The M3D run needs only the 2D die, which is final once the 2D
+// floorplan stage ends. So the rest of the 2D run and the whole M3D run
+// are two tasks of one exec.MapWith at the settings' width: they overlap
+// at width ≥ 2 and run in that order at width 1, with identical results
+// either way. A failing task cancels the other.
 func CaseStudy(p *tech.PDK, scale SoCSpec, numCS int, opts ...exec.Option) (twoD, m3d *Result, err error) {
 	st := exec.Resolve(opts...)
 	st.SetValue(sinksKey{}, Sinks{}) // sinks are per-run, not per-pair
@@ -814,7 +864,7 @@ func CaseStudy(p *tech.PDK, scale SoCSpec, numCS int, opts ...exec.Option) (twoD
 	spec2.Style = macro.Style2D
 	spec2.NumCS = 1
 	spec2.Banks = 1
-	twoD, err = runWith(st.Ctx, st, p, spec2)
+	run2, err := prepare(st.Ctx, st, p, spec2)
 	if err != nil {
 		return nil, nil, fmt.Errorf("flow: 2D baseline: %w", err)
 	}
@@ -823,10 +873,40 @@ func CaseStudy(p *tech.PDK, scale SoCSpec, numCS int, opts ...exec.Option) (twoD
 	spec3.Style = macro.Style3D
 	spec3.NumCS = numCS
 	spec3.Banks = numCS
-	spec3.Die = twoD.Die // iso-footprint
-	m3d, err = runWith(st.Ctx, st, p, spec3)
-	if err != nil {
-		return nil, nil, fmt.Errorf("flow: M3D design: %w", err)
+	spec3.Die = run2.die // iso-footprint
+
+	tasks := []func(context.Context) error{
+		func(ctx context.Context) (err error) {
+			if twoD, err = run2.finish(ctx, st); err != nil {
+				return fmt.Errorf("flow: 2D baseline: %w", err)
+			}
+			return nil
+		},
+		func(ctx context.Context) (err error) {
+			if m3d, err = runWith(ctx, st, p, spec3); err != nil {
+				return fmt.Errorf("flow: M3D design: %w", err)
+			}
+			return nil
+		},
+	}
+	inner := *st
+	inner.Label = "casestudy.design"
+	failed := make([]error, len(tasks))
+	if _, err := exec.MapWith(&inner, tasks, func(ctx context.Context, i int, task func(context.Context) error) (struct{}, error) {
+		failed[i] = task(ctx)
+		return struct{}{}, failed[i]
+	}); err != nil {
+		if twoD == nil && failed[0] == nil && run2.root != nil {
+			run2.root.End() // the 2D task never started, so finish did not end it
+		}
+		// Report the failure that cancelled the pair, not the
+		// cancellation it caused in the other task.
+		for _, e := range failed {
+			if e != nil && !errors.Is(e, errs.ErrCanceled) {
+				return nil, nil, e
+			}
+		}
+		return nil, nil, err
 	}
 	return twoD, m3d, nil
 }

@@ -8,7 +8,6 @@
 package route
 
 import (
-	"m3d/internal/exec"
 	"m3d/internal/floorplan"
 	"m3d/internal/geom"
 	"m3d/internal/netlist"
@@ -28,29 +27,20 @@ type Options struct {
 	// IncludeClock routes clock nets too — set after clock tree synthesis,
 	// when the clock is a real buffered network rather than an ideal net.
 	IncludeClock bool
-	// Workers is the routing pool width. 1 runs the plain serial router;
-	// values above 1 route nets speculatively in parallel and commit them
-	// in exact serial order, so the Result is byte-identical at every
-	// width. 0 (the zero value) selects exec.DefaultWorkers, which honors
-	// M3D_WORKERS.
-	Workers int
-	// Stats, when non-nil, receives the speculative router's work
-	// counters. They live outside Result on purpose: serial and parallel
-	// runs must produce deeply equal Results, and how the work was
-	// scheduled is not part of the routing answer.
-	Stats *Stats
 }
 
-// Stats counts how the speculative parallel router spent its work.
+// Stats counts the router's search work: the kernel counters of the A*
+// searcher, summed over every pass of one Route call. They depend only
+// on the design and the options, so two runs of one design agree.
 type Stats struct {
-	// SpecCommitted is the number of speculative net results whose read
-	// logs validated and were committed as-is.
-	SpecCommitted int
-	// SpecRerouted is the number of validation conflicts that fell back
-	// to a serial re-route on the live grid.
-	SpecRerouted int
-	// Batches is the number of speculation barriers executed.
-	Batches int
+	// Searches is the number of A* searches; a windowed search that
+	// falls back to the full grid counts twice.
+	Searches int
+	// Expanded is the number of frontier nodes expanded (popped heap
+	// entries that were neither stale nor the target).
+	Expanded int
+	// Pushes is the number of heap pushes.
+	Pushes int
 }
 
 func (o Options) withDefaults() Options {
@@ -62,9 +52,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFanout <= 0 {
 		o.MaxFanout = 64
-	}
-	if o.Workers <= 0 {
-		o.Workers = exec.DefaultWorkers()
 	}
 	return o
 }
@@ -78,11 +65,13 @@ type Seg struct {
 
 // NetRoute is the routing result for one net.
 type NetRoute struct {
-	Net    *netlist.Net
-	Segs   []Seg
-	WLdbu  int64 // total wire length
-	Vias   int   // intra-stack vias
-	ILVs   int   // vias crossing the lower/upper metal boundary
+	Net   *netlist.Net
+	Segs  []Seg
+	WLdbu int64 // total wire length
+	Vias  int   // intra-stack vias
+	ILVs  int   // vias crossing the lower/upper metal boundary
+	// Failed is set when a sink of the net is still unconnected after
+	// the final pass (no path through the grid reached it).
 	Failed bool
 }
 
@@ -97,12 +86,12 @@ type Result struct {
 	OverflowEdges int
 	// SkippedNets counts nets excluded (clock / high fanout).
 	SkippedNets int
-	// FailedNets counts nets with no path.
+	// FailedNets counts nets with at least one sink left unconnected
+	// after the final pass (NetRoute.Failed).
 	FailedNets int
 	// RipupHistory records the over-capacity edge count observed at the
 	// start of each negotiation round; the final entry is 0 when the
-	// router converged before exhausting MaxRipupRounds. Serial and
-	// parallel runs produce identical histories.
+	// router converged before exhausting MaxRipupRounds.
 	RipupHistory []int
 	// WLByLayer is wirelength per routing layer.
 	WLByLayer []int64
@@ -112,6 +101,8 @@ type Result struct {
 	// Congestion maps each gcell to its worst usage/capacity ratio across
 	// layers (>1 = overflow), for hot-spot inspection.
 	Congestion *geom.Grid
+	// Stats is the search work the route took.
+	Stats Stats
 }
 
 // grid is the routing graph.

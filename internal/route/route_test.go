@@ -1,10 +1,12 @@
 package route
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"m3d/internal/cell"
-	"m3d/internal/exec"
+	"m3d/internal/errs"
 	"m3d/internal/floorplan"
 	"m3d/internal/geom"
 	"m3d/internal/macro"
@@ -47,7 +49,7 @@ func placedFixture(t testing.TB, rows, cols int) *fixture {
 
 func TestRouteCompletes(t *testing.T) {
 	fx := placedFixture(t, 2, 2)
-	res, err := Route(fx.fp, fx.nl, Options{})
+	res, err := Route(context.Background(), fx.fp, fx.nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestRouteCompletes(t *testing.T) {
 
 func TestRouteSkipsClockAndHugeFanout(t *testing.T) {
 	fx := placedFixture(t, 1, 1)
-	res, err := Route(fx.fp, fx.nl, Options{})
+	res, err := Route(context.Background(), fx.fp, fx.nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestRouteSkipsClockAndHugeFanout(t *testing.T) {
 
 func TestRouteOverflowBoundedOnReasonableDesign(t *testing.T) {
 	fx := placedFixture(t, 2, 2)
-	res, err := Route(fx.fp, fx.nl, Options{})
+	res, err := Route(context.Background(), fx.fp, fx.nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestRouteOverflowBoundedOnReasonableDesign(t *testing.T) {
 
 func TestWLByLayerAccounting(t *testing.T) {
 	fx := placedFixture(t, 1, 2)
-	res, err := Route(fx.fp, fx.nl, Options{})
+	res, err := Route(context.Background(), fx.fp, fx.nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestILVUsedForCNFETTierCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Route(fp, nl, Options{})
+	res, err := Route(context.Background(), fp, nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestILVBlockedUnderRRAMArray(t *testing.T) {
 	a.Pos, b.Pos = c, c.Add(geom.Pt(2*p.SiteWidth, 0))
 	a.Fixed, b.Fixed = true, true
 
-	res, err := Route(fp, nl, Options{})
+	res, err := Route(context.Background(), fp, nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +206,11 @@ func TestILVBlockedUnderRRAMArray(t *testing.T) {
 func TestRouteDeterministic(t *testing.T) {
 	a := placedFixture(t, 1, 2)
 	b := placedFixture(t, 1, 2)
-	ra, err := Route(a.fp, a.nl, Options{})
+	ra, err := Route(context.Background(), a.fp, a.nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Route(b.fp, b.nl, Options{})
+	rb, err := Route(context.Background(), b.fp, b.nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,24 +220,59 @@ func TestRouteDeterministic(t *testing.T) {
 	}
 }
 
+// TestRouteStats checks the searcher's work counters: nonzero on a real
+// design, internally consistent, and identical across two runs of the
+// same design.
+func TestRouteStats(t *testing.T) {
+	var stats []Stats
+	for run := 0; run < 2; run++ {
+		fx := placedFixture(t, 2, 2)
+		res, err := Route(context.Background(), fx.fp, fx.nl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats = append(stats, res.Stats)
+	}
+	st := stats[0]
+	if st.Searches == 0 || st.Expanded == 0 {
+		t.Fatalf("no search work counted: %+v", st)
+	}
+	// Every search pushes its source, and every expansion pops a push.
+	if st.Pushes < st.Searches || st.Pushes < st.Expanded {
+		t.Errorf("inconsistent counters: %+v", st)
+	}
+	if stats[1] != st {
+		t.Errorf("counters differ across runs: %+v vs %+v", st, stats[1])
+	}
+}
+
+// TestRouteCanceled checks the cancellation contract: a cancelled
+// context stops the router with an error matching both errs.ErrCanceled
+// and the context's own error.
+func TestRouteCanceled(t *testing.T) {
+	fx := placedFixture(t, 1, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Route(ctx, fx.fp, fx.nl, Options{})
+	if !errors.Is(err, errs.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.GCellsX != 48 || o.MaxRipupRounds != 3 || o.MaxFanout != 64 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	if o.Workers != exec.DefaultWorkers() {
-		t.Errorf("Workers default = %d, want exec.DefaultWorkers() = %d",
-			o.Workers, exec.DefaultWorkers())
-	}
-	o2 := Options{GCellsX: 10, MaxRipupRounds: 1, MaxFanout: 5, Workers: 7}.withDefaults()
-	if o2.GCellsX != 10 || o2.MaxRipupRounds != 1 || o2.MaxFanout != 5 || o2.Workers != 7 {
+	o2 := Options{GCellsX: 10, MaxRipupRounds: 1, MaxFanout: 5}.withDefaults()
+	if o2.GCellsX != 10 || o2.MaxRipupRounds != 1 || o2.MaxFanout != 5 {
 		t.Errorf("explicit options clobbered: %+v", o2)
 	}
 }
 
 func TestCongestionGrid(t *testing.T) {
 	fx := placedFixture(t, 1, 2)
-	res, err := Route(fx.fp, fx.nl, Options{})
+	res, err := Route(context.Background(), fx.fp, fx.nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package route
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"m3d/internal/errs"
 	"m3d/internal/floorplan"
 	"m3d/internal/geom"
 	"m3d/internal/netlist"
@@ -13,6 +15,8 @@ import (
 type routedNet struct {
 	net   *netlist.Net
 	paths [][]int
+	// failed counts the sinks the net's latest routing left unconnected.
+	failed int
 	// hpwl is the net's HPWL at route time, precomputed once so the
 	// work-list ordering does not recompute it O(n log n) times.
 	hpwl int64
@@ -28,11 +32,10 @@ type sinkRef struct {
 // Route globally routes all signal nets of the placed netlist. Clock nets
 // and nets above the fanout threshold are idealized (skipped). The router
 // runs an initial pass plus negotiated rip-up-and-reroute rounds on
-// overflowing nets. With Options.Workers > 1 the rounds run as
-// speculative parallel batches whose results commit in serial work-list
-// order (see parallel.go); the Result is byte-identical to the serial
-// router's at every width.
-func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, error) {
+// overflowing nets, one net at a time in work-list order. It checks ctx
+// before each net and each rip-up round; a cancelled route returns an
+// error matching errs.ErrCanceled.
+func Route(ctx context.Context, f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	g := newGrid(f, opt)
 	if g.boundary < 0 {
@@ -60,62 +63,55 @@ func Route(f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, e
 		return work[i].hpwl < work[j].hpwl
 	})
 
-	if opt.Workers > 1 && len(work) > 1 {
-		if err := routeParallel(g, work, res, opt); err != nil {
+	s := newSearcher(g)
+	for _, rn := range work {
+		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
-	} else {
-		routeSerial(g, work, res, opt)
-	}
-
-	finalize(g, f, work, res)
-	return res, nil
-}
-
-// routeSerial is the reference router: one searcher, nets in work-list
-// order, negotiated rip-up rounds. The parallel path is tested against
-// it as an oracle and must replay it exactly.
-func routeSerial(g *grid, work []*routedNet, res *Result, opt Options) {
-	s := newSearcher(g, false)
-	for _, rn := range work {
-		var failed int
-		rn.paths, failed = s.routeNet(rn.net, rn.paths[:0])
-		res.FailedNets += failed
+		rn.paths, rn.failed = s.routeNet(rn.net, rn.paths[:0])
 	}
 
 	// Negotiated rip-up and reroute.
 	for round := 0; round < opt.MaxRipupRounds; round++ {
+		if err := checkCtx(ctx); err != nil {
+			return nil, err
+		}
 		ov := g.overflowCount(true)
 		res.RipupHistory = append(res.RipupHistory, ov)
 		if ov == 0 {
 			break
 		}
 		for _, rn := range work {
-			bad := false
-			for _, path := range rn.paths {
-				if s.pathOverflows(path) {
-					bad = true
-					break
-				}
+			if err := checkCtx(ctx); err != nil {
+				return nil, err
 			}
-			if !bad {
+			if !g.anyPathOverflows(rn.paths) {
 				continue
 			}
 			for _, path := range rn.paths {
 				g.commitPathUsage(path, -1)
 			}
-			var failed int
-			rn.paths, failed = s.routeNet(rn.net, rn.paths[:0])
-			res.FailedNets += failed
+			rn.paths, rn.failed = s.routeNet(rn.net, rn.paths[:0])
 		}
 	}
+
+	res.Stats = s.stats
+	finalize(g, f, work, res)
+	return res, nil
+}
+
+// checkCtx converts a cancelled context into the router's error contract.
+func checkCtx(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("route: %w: %w", errs.ErrCanceled, err)
+	}
+	return nil
 }
 
 // routeNet routes one net from scratch: star topology from the driver,
-// nearest sink first. Each found path is committed before the next sink
-// is routed — to the live grid in serial mode, to the searcher's private
-// overlay in speculative mode — and appended to dst, which is returned
-// along with the count of unroutable sinks.
+// nearest sink first. Each found path is committed to the grid before
+// the next sink is routed and appended to dst, which is returned along
+// with the count of unroutable sinks.
 func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 	g := s.g
 	failed := 0
@@ -141,11 +137,7 @@ func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 			failed++
 			continue
 		}
-		if s.spec {
-			s.overlayPath(path, +1)
-		} else {
-			g.commitPathUsage(path, +1)
-		}
+		g.commitPathUsage(path, +1)
 		dst = append(dst, path)
 	}
 	return dst, failed
@@ -162,9 +154,9 @@ func finalize(g *grid, f *floorplan.Floorplan, work []*routedNet, res *Result) {
 			nr.Vias += vias
 			nr.ILVs += ilvs
 		}
-		if len(rn.paths) == 0 && len(rn.net.Sinks) > 0 {
-			// All connections were same-gcell (zero length) or failed.
-			nr.Failed = false
+		if rn.failed > 0 {
+			nr.Failed = true
+			res.FailedNets++
 		}
 		res.Routes[rn.net] = nr
 		res.TotalWLdbu += nr.WLdbu

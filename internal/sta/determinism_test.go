@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -44,7 +45,7 @@ func routedFixtureRoutes(tb testing.TB, rows, cols int) (*tech.PDK, *netlist.Net
 	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, place.Options{Seed: 1}); err != nil {
 		tb.Fatal(err)
 	}
-	routes, err := route.Route(fp, b.NL, route.Options{})
+	routes, err := route.Route(context.Background(), fp, b.NL, route.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

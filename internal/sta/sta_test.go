@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"testing"
 
 	"m3d/internal/cell"
@@ -205,7 +206,7 @@ func TestRoutedWireModel(t *testing.T) {
 	if _, err := place.Global(fp, b.NL, tech.TierSiCMOS, place.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	routes, err := route.Route(fp, b.NL, route.Options{})
+	routes, err := route.Route(context.Background(), fp, b.NL, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,15 +200,16 @@ const (
 	Style3D = macro.Style3D
 )
 
-// RunFlow executes the RTL-to-GDS flow for one SoC spec. Options control
-// pool width, cancellation, observability and export sinks (WithWorkers,
-// WithContext, WithTracer, WithMetrics, WithGDS, WithThermalCheck, ...).
+// RunFlow executes the RTL-to-GDS flow for one SoC spec. Its stages run
+// serially; options control cancellation, observability and export sinks
+// (WithContext, WithTracer, WithMetrics, WithGDS, WithThermalCheck, ...).
 func RunFlow(p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
 	return flow.Run(p, spec, opts...)
 }
 
 // RunFlowContext is RunFlow under an explicit context: cancellation stops
-// the run between stages (error matches ErrCanceled), and a tracer or
+// the run between stages and between the nets of the route stage (error
+// matches ErrCanceled), and a tracer or
 // metrics registry attached to ctx (ContextWithTracer/ContextWithMetrics)
 // instruments it.
 func RunFlowContext(ctx context.Context, p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
@@ -229,7 +230,9 @@ type (
 )
 
 var (
-	// WithWorkers bounds the run's worker pool (0 or less = default).
+	// WithWorkers bounds the worker pool of a fan-out call — how many
+	// independent flows, sweep points or corners run at once (0 or less =
+	// default). The stages of one flow always run serially.
 	WithWorkers = exec.WithWorkers
 	// WithContext attaches a cancellation context to the run.
 	WithContext = exec.WithContext
@@ -319,6 +322,8 @@ func RunFlowManyContext(ctx context.Context, p *PDK, specs []SoCSpec, opts ...Op
 }
 
 // RunFlowCaseStudy runs the 2D baseline and the iso-footprint M3D design.
+// Once the 2D die is fixed, the rest of the 2D run overlaps the M3D run
+// on a pool of WithWorkers width; results are identical at every width.
 func RunFlowCaseStudy(p *PDK, scale SoCSpec, numCS int, opts ...Option) (*FlowResult, *FlowResult, error) {
 	return flow.CaseStudy(p, scale, numCS, opts...)
 }

@@ -31,9 +31,8 @@ BENCHDIR="bench"
 TRACKED="BenchmarkCacheChurnLRU BenchmarkCacheHitLRU BenchmarkCacheHitLRUParallel \
 BenchmarkCacheHitUnbounded BenchmarkSweepSerial BenchmarkSweepParallelCached \
 BenchmarkSweepCached BenchmarkRunFlowReduced BenchmarkRouteNets \
-BenchmarkRouteNetsParallel BenchmarkSTAFullTiming BenchmarkOptimizeDrivesIncremental \
-BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal \
-BenchmarkPlaceGlobalParallel"
+BenchmarkSTAFullTiming BenchmarkOptimizeDrivesIncremental \
+BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal"
 
 mkdir -p "$BENCHDIR"
 RAW="$(mktemp)"
@@ -61,10 +60,10 @@ run_bench "exec cache" 'BenchmarkCache' "$BENCHTIME" ./internal/exec/
 run_bench "analytic sweep" 'BenchmarkSweep(Serial|ParallelCached)$' "$BENCHTIME" ./internal/analytic/
 run_bench "serve cached path" 'BenchmarkSweepCached' "$BENCHTIME" ./internal/serve/
 run_bench "flow pipeline (reduced)" 'BenchmarkRunFlowReduced$' 1x ./internal/flow/
-run_bench "router (serial + parallel)" 'BenchmarkRouteNets(Parallel)?$' "$BENCHTIME" ./internal/route/
+run_bench "router" 'BenchmarkRouteNets$' "$BENCHTIME" ./internal/route/
 run_bench "sta full + incremental + batch" 'Benchmark(STAFullTiming|OptimizeDrivesIncremental|BatchCornerSTA)$' "$BENCHTIME" ./internal/sta/
 run_bench "variation mc sta" 'BenchmarkMonteCarloSTA$' "$BENCHTIME" ./internal/vary/
-run_bench "placer (serial + wavefront)" 'BenchmarkPlaceGlobal(Parallel)?$' "$BENCHTIME" ./internal/place/
+run_bench "placer" 'BenchmarkPlaceGlobal$' "$BENCHTIME" ./internal/place/
 
 # Every tracked benchmark must have produced at least one result line.
 for name in $TRACKED; do

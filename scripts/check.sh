@@ -20,10 +20,8 @@ echo "== go test -race =="
 go test -race -timeout 30m ./...
 
 echo "== concurrency equivalence suite (race + shuffle) =="
-# The speculative parallel router and the incremental STA are pinned
-# against their serial/full oracles; -shuffle and -count=2 shake out
-# order dependence and stale-scratch bugs between repeated runs.
-go test -race -shuffle=on -count=2 -timeout 45m ./internal/route/ ./internal/sta/ ./internal/flow/ ./internal/vary/
+# Defined once, in the Makefile's race-equiv target.
+make race-equiv
 
 echo "== obs golden + trace schema =="
 go test ./internal/obs/ ./internal/report/ ./cmd/m3dreport/
