@@ -57,9 +57,9 @@ func main() {
 		Style: m3d.Style3D, NumCS: 2, Banks: 2,
 		ArrayRows: 2, ArrayCols: 2,
 		RRAMCapBits: 2 << 20, GlobalSRAMBits: 64 << 10,
-		Die: cmp.TwoD.Die, WriteGDS: f, Seed: 1,
+		Die: cmp.TwoD.Die, Seed: 1,
 	}
-	if _, err := m3d.RunFlow(pdk, spec); err != nil {
+	if _, err := m3d.RunFlow(pdk, spec, m3d.WithGDS(f)); err != nil {
 		log.Fatal(err)
 	}
 	st, err := f.Stat()

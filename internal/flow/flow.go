@@ -80,22 +80,6 @@ type SoCSpec struct {
 	// Die forces the footprint (pass the 2D result's die to the M3D run
 	// for an iso-footprint comparison). Empty = size automatically.
 	Die geom.Rect
-	// WriteGDS streams the final layout to this writer when non-nil.
-	//
-	// Deprecated: pass WithGDS (or WithSinks/WithSinksAt) to the run call
-	// instead; writer fields make the spec impure and are only kept as a
-	// compatibility shim. They are stripped before the spec is used as a
-	// memo key.
-	WriteGDS io.Writer
-	// WriteVerilog streams the synthesized structural netlist when
-	// non-nil.
-	//
-	// Deprecated: pass WithVerilog to the run call instead.
-	WriteVerilog io.Writer
-	// WriteDEF streams the final placement when non-nil.
-	//
-	// Deprecated: pass WithDEF to the run call instead.
-	WriteDEF io.Writer
 	// FoldLogic enables the refs [3-4]-style M3D folding flow: logic cells
 	// are min-cut partitioned between the Si and CNFET tiers (CNFET cells
 	// re-mapped to the weaker BEOL library) and the footprint shrinks to
@@ -141,13 +125,6 @@ func (s SoCSpec) withDefaults() SoCSpec {
 	if s.TargetClockHz == 0 {
 		s.TargetClockHz = 20e6
 	}
-	return s
-}
-
-// pure returns the spec with the deprecated writer fields stripped — the
-// memoizable value identity of the design.
-func (s SoCSpec) pure() SoCSpec {
-	s.WriteGDS, s.WriteVerilog, s.WriteDEF = nil, nil, nil
 	return s
 }
 
@@ -212,7 +189,7 @@ func teeWriter(a, b io.Writer) io.Writer {
 }
 
 // tee combines two sink sets so each export reaches both writers — used
-// where a spec's deprecated writer fields meet the option sinks, so
+// where RunMany's per-index sinks meet the single-run sinks of spec 0, so
 // neither silently loses the export.
 func (s Sinks) tee(o Sinks) Sinks {
 	return Sinks{
@@ -489,8 +466,7 @@ func RunContext(ctx context.Context, p *tech.PDK, spec SoCSpec, opts ...exec.Opt
 }
 
 // runWith is the flow body: prepare, then finish. Sinks come from the
-// settings (options) merged over the spec's deprecated writer fields;
-// the spec used for all computation is pure.
+// settings (options); the spec itself is a pure value.
 func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) (*Result, error) {
 	run, err := prepare(ctx, st, p, spec)
 	if err != nil {
@@ -519,8 +495,7 @@ type prepared struct {
 // prepare runs synthesis and the floorplan/global-place stage.
 func prepare(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) (_ *prepared, err error) {
 	spec = spec.withDefaults()
-	sinks := Sinks{GDS: spec.WriteGDS, Verilog: spec.WriteVerilog, DEF: spec.WriteDEF}.tee(sinksOf(st))
-	spec = spec.pure()
+	sinks := sinksOf(st)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -858,7 +833,7 @@ func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, erro
 func CaseStudy(p *tech.PDK, scale SoCSpec, numCS int, opts ...exec.Option) (twoD, m3d *Result, err error) {
 	st := exec.Resolve(opts...)
 	st.SetValue(sinksKey{}, Sinks{}) // sinks are per-run, not per-pair
-	scale = scale.withDefaults().pure()
+	scale = scale.withDefaults()
 
 	spec2 := scale
 	spec2.Style = macro.Style2D

@@ -105,8 +105,7 @@ func TestGDSExportValid(t *testing.T) {
 	spec := smallSpec()
 	spec.Style = macro.Style3D
 	var buf bytes.Buffer
-	spec.WriteGDS = &buf
-	res, err := Run(p, spec)
+	res, err := Run(p, spec, WithGDS(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +280,7 @@ func TestFlowInterchangeExports(t *testing.T) {
 	spec := smallSpec()
 	spec.Style = macro.Style2D
 	var v, d bytes.Buffer
-	spec.WriteVerilog = &v
-	spec.WriteDEF = &d
-	res, err := Run(p, spec)
+	res, err := Run(p, spec, WithVerilog(&v), WithDEF(&d))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,10 @@ import (
 //
 // Identical specs are evaluated once behind a single-flight memo cache
 // and share one *Result; the registry's flow.memo.hits / flow.memo.misses
-// counters account for the cache. Export sinks — WithSinksAt(i, ...)
-// options or the deprecated writer fields on the specs — no longer
-// defeat the cache: specs are memoized by their pure value, and the
-// requested exports are replayed from the shared results afterwards
-// (deterministically, in spec order).
+// counters account for the cache. Export sinks (WithSinksAt(i, ...)
+// options) do not defeat the cache: specs are memoized by their value,
+// and the requested exports are replayed from the shared results
+// afterwards (deterministically, in spec order).
 func RunMany(p *tech.PDK, specs []SoCSpec, opts ...exec.Option) ([]*Result, error) {
 	return runMany(exec.Resolve(opts...), p, specs)
 }
@@ -49,7 +48,7 @@ func runMany(st *exec.Settings, p *tech.PDK, specs []SoCSpec) ([]*Result, error)
 	inner.Label = "flow.runmany"
 	inner.SetValue(sinksKey{}, Sinks{})
 	results, err := exec.MapWith(&inner, specs, func(ctx context.Context, _ int, spec SoCSpec) (*Result, error) {
-		key := spec.withDefaults().pure()
+		key := spec.withDefaults()
 		return cache.DoMetered(key, hits, misses, func() (*Result, error) {
 			return runWith(ctx, &inner, p, key)
 		})
@@ -58,11 +57,7 @@ func runMany(st *exec.Settings, p *tech.PDK, specs []SoCSpec) ([]*Result, error)
 		return nil, err
 	}
 	for i, res := range results {
-		sinks := Sinks{
-			GDS:     specs[i].WriteGDS,
-			Verilog: specs[i].WriteVerilog,
-			DEF:     specs[i].WriteDEF,
-		}.tee(perIdx[i])
+		sinks := perIdx[i]
 		if i == 0 {
 			sinks = sinks.tee(single)
 		}

@@ -81,19 +81,17 @@ func TestRunManyDedupesIdenticalSpecs(t *testing.T) {
 	}
 }
 
-// TestRunManyWriterSpecsShareCache: export sinks no longer defeat the
+// TestRunManyWriterSpecsShareCache: export sinks do not defeat the
 // memo — identical specs share one evaluation even when each requests a
-// writer (deprecated field or WithSinksAt), and every sink is replayed
-// from the shared result with identical bytes.
+// writer, and every sink is replayed from the shared result with
+// identical bytes. Spec 0 gets both a single-run sink (WithVerilog) and
+// a per-index one (WithSinksAt), which must both be filled.
 func TestRunManyWriterSpecsShareCache(t *testing.T) {
 	p := tech.Default130()
 	spec := runManySpecs()[0]
 	var v1, v2, v3 bytes.Buffer
-	a, b := spec, spec
-	a.WriteVerilog = &v1 // deprecated field path
-	b.WriteVerilog = &v2
-	results, err := RunMany(p, []SoCSpec{a, b},
-		exec.WithWorkers(1), WithSinksAt(1, Sinks{Verilog: &v3}))
+	results, err := RunMany(p, []SoCSpec{spec, spec}, exec.WithWorkers(1),
+		WithVerilog(&v1), WithSinksAt(0, Sinks{Verilog: &v2}), WithSinksAt(1, Sinks{Verilog: &v3}))
 	if err != nil {
 		t.Fatal(err)
 	}

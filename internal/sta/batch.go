@@ -3,16 +3,14 @@ package sta
 import (
 	"fmt"
 
-	"m3d/internal/cell"
 	"m3d/internal/netlist"
 	"m3d/internal/tech"
 )
 
-// BatchTimer prices K process corners with ONE levelization walk. The
-// Kahn traversal in Timer.Analyze — queue order, pending decrements,
-// seen flags — depends only on the netlist topology, never on delay
-// values, so K corners that differ only in per-tier delay scales share
-// all of that bookkeeping. Arrival times become a structure-of-arrays
+// BatchTimer prices K process corners with ONE walk of the levelized
+// timing graph. The graph order depends only on the netlist topology,
+// never on delay values, so K corners that differ only in per-tier delay
+// scales share it and the per-pin seen flags. Arrival times become a structure-of-arrays
 // slab indexed [pin*K + corner]; each arc's corner-independent base
 // delay (netDelayParts) is expanded to K scaled delays once per out-pin
 // visit and applied inside the shared worst-input scan.
@@ -34,17 +32,13 @@ type BatchTimer struct {
 	wm *WireModel
 
 	kmax int
-
-	// pendingInit is the static levelization structure (see Timer).
-	pendingInit []int32
+	g    *graph
 
 	// Per-pass scratch, reused across passes.
-	pending []int32
 	arr     []float64 // [pin*K + corner] arrival slab, K = kmax
 	seen    []bool    // per pin, shared by all corners
-	queue   []*netlist.Instance
 	dk      []float64 // per-corner delay of the arc being relaxed
-	worstIn []float64 // per-corner worst input / worst endpoint scratch
+	worstIn []float64 // per-corner output arrival / worst endpoint scratch
 }
 
 // NewBatchTimer builds a corner-batched timing engine able to price up
@@ -56,26 +50,15 @@ func NewBatchTimer(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, maxCorners i
 	if wm == nil {
 		wm = NewWireModel(p, nil)
 	}
-	bt := &BatchTimer{
+	return &BatchTimer{
 		p: p, nl: nl, wm: wm,
-		kmax:        maxCorners,
-		pendingInit: make([]int32, len(nl.Instances)),
-		pending:     make([]int32, len(nl.Instances)),
-		arr:         make([]float64, nl.NumPins()*maxCorners),
-		seen:        make([]bool, nl.NumPins()),
-		dk:          make([]float64, maxCorners),
-		worstIn:     make([]float64, maxCorners),
-	}
-	for _, inst := range nl.Instances {
-		var n int32
-		for _, pin := range inst.Pins() {
-			if !pin.IsOutput && pin.Net != nil && !pin.Net.Clock {
-				n++
-			}
-		}
-		bt.pendingInit[inst.ID] = n
-	}
-	return bt, nil
+		kmax:    maxCorners,
+		g:       newGraph(nl),
+		arr:     make([]float64, nl.NumPins()*maxCorners),
+		seen:    make([]bool, nl.NumPins()),
+		dk:      make([]float64, maxCorners),
+		worstIn: make([]float64, maxCorners),
+	}, nil
 }
 
 // MaxCorners returns the batch capacity fixed at construction.
@@ -100,51 +83,45 @@ func (bt *BatchTimer) AnalyzeBatch(scales [][tech.NumTiers]float64, critOut []fl
 		return fmt.Errorf("sta: critOut length %d != batch size %d", len(critOut), K)
 	}
 
-	nl := bt.nl
-	copy(bt.pending, bt.pendingInit)
-	for i := range bt.seen {
-		bt.seen[i] = false
-	}
-	bt.queue = bt.queue[:0]
-	arr, seen, pending := bt.arr, bt.seen, bt.pending
+	clear(bt.seen)
+	arr, seen := bt.arr, bt.seen
 	dk, worstIn := bt.dk[:K], bt.worstIn[:K]
 
-	// Launch points: same classification as Timer.Analyze. Launch times
-	// (ClkQS, macro access latency) are corner-independent, so all K
-	// lanes of a launch pin carry the same value.
-	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		mac := inst.IsMacro()
-		tie := !mac && (inst.Cell.Kind == cell.TieHi || inst.Cell.Kind == cell.TieLo)
-		if seq || mac || tie || pending[inst.ID] == 0 {
-			launchT := 0.0
-			if seq {
-				launchT = inst.Cell.ClkQS
+	for _, inst := range bt.g.order {
+		if bt.g.class[inst.ID] != notLaunch {
+			// Launch times (ClkQS, macro access latency) are
+			// corner-independent: all K lanes carry the same value.
+			launchT := launchTime(inst)
+			for k := 0; k < K; k++ {
+				worstIn[k] = launchT
 			}
-			if mac {
-				launchT = inst.Macro.AccessLatencyS
+		} else {
+			// Worst-input scan: same pin order and the same >= last-max
+			// tie rule as Timer.worstInput, one max per corner lane.
+			for k := 0; k < K; k++ {
+				worstIn[k] = 0
 			}
-			for _, pin := range inst.Pins() {
-				if pin.IsOutput {
-					base := pin.ID * K
-					for k := 0; k < K; k++ {
-						arr[base+k] = launchT
+			for _, in := range inst.Pins() {
+				if in.IsOutput || in.Net == nil || in.Net.Clock || !seen[in.ID] {
+					continue
+				}
+				inBase := in.ID * K
+				for k := 0; k < K; k++ {
+					if arr[inBase+k] >= worstIn[k] {
+						worstIn[k] = arr[inBase+k]
 					}
-					seen[pin.ID] = true
 				}
 			}
-			bt.queue = append(bt.queue, inst)
-			pending[inst.ID] = -1
 		}
-	}
+		for _, op := range inst.Pins() {
+			if op.IsOutput {
+				copy(arr[op.ID*K:op.ID*K+K], worstIn)
+				seen[op.ID] = true
+			}
+		}
 
-	for qi := 0; qi < len(bt.queue); qi++ {
-		inst := bt.queue[qi]
 		for _, out := range inst.Pins() {
 			if !out.IsOutput || out.Net == nil || out.Net.Clock {
-				continue
-			}
-			if !seen[out.ID] {
 				continue
 			}
 			outBase := out.ID * K
@@ -176,41 +153,6 @@ func (bt *BatchTimer) AnalyzeBatch(scales [][tech.NumTiers]float64, critOut []fl
 						}
 					}
 				}
-				sid := sink.Inst.ID
-				if pending[sid] < 0 {
-					continue // launch point; D pins are endpoints only
-				}
-				pending[sid]--
-				if pending[sid] == 0 {
-					pending[sid] = -1
-					// Worst-input scan: same pin order and the same >=
-					// last-max tie rule as the serial path, one max per
-					// corner lane.
-					for k := 0; k < K; k++ {
-						worstIn[k] = 0
-					}
-					for _, in := range sink.Inst.Pins() {
-						if in.IsOutput || in.Net == nil || in.Net.Clock {
-							continue
-						}
-						if !seen[in.ID] {
-							continue
-						}
-						inBase := in.ID * K
-						for k := 0; k < K; k++ {
-							if arr[inBase+k] >= worstIn[k] {
-								worstIn[k] = arr[inBase+k]
-							}
-						}
-					}
-					for _, op := range sink.Inst.Pins() {
-						if op.IsOutput {
-							copy(arr[op.ID*K:op.ID*K+K], worstIn)
-							seen[op.ID] = true
-						}
-					}
-					bt.queue = append(bt.queue, sink.Inst)
-				}
 			}
 		}
 	}
@@ -222,33 +164,23 @@ func (bt *BatchTimer) AnalyzeBatch(scales [][tech.NumTiers]float64, critOut []fl
 		worst[k] = 0
 	}
 	endpoints := 0
-	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		mac := inst.IsMacro()
-		if !seq && !mac {
+	for _, pin := range bt.g.endpoints {
+		if !seen[pin.ID] {
 			continue
 		}
-		for _, pin := range inst.Pins() {
-			if pin.IsOutput || pin.Net == nil || pin.Net.Clock {
-				continue
-			}
-			if !seen[pin.ID] {
-				continue
-			}
-			endpoints++
-			base := pin.ID * K
-			if seq {
-				setup := inst.Cell.SetupS
-				for k := 0; k < K; k++ {
-					if tEnd := arr[base+k] + setup; tEnd > worst[k] {
-						worst[k] = tEnd
-					}
+		endpoints++
+		base := pin.ID * K
+		if !pin.Inst.IsMacro() {
+			setup := pin.Inst.Cell.SetupS
+			for k := 0; k < K; k++ {
+				if tEnd := arr[base+k] + setup; tEnd > worst[k] {
+					worst[k] = tEnd
 				}
-			} else {
-				for k := 0; k < K; k++ {
-					if tEnd := arr[base+k]; tEnd > worst[k] {
-						worst[k] = tEnd
-					}
+			}
+		} else {
+			for k := 0; k < K; k++ {
+				if tEnd := arr[base+k]; tEnd > worst[k] {
+					worst[k] = tEnd
 				}
 			}
 		}

@@ -57,112 +57,51 @@ func AnalyzeHold(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) (*HoldReport, 
 
 // AnalyzeHold runs the Timer's min-arrival pass over the shared scratch.
 func (t *Timer) AnalyzeHold() (*HoldReport, error) {
-	t.reset()
 	t.valid = false // min-arrival pass repurposes the max-arrival scratch
-	nl := t.nl
-	arr, seen, cls, pending := t.arr, t.seen, t.cls, t.pending
+	clear(t.seen)
+	arr, seen, from := t.arr, t.seen, t.from
 	netDelay := makeNetDelay(t.wm, t.tierScale)
-
-	for _, inst := range nl.Instances {
-		if isLaunch(inst) || pending[inst.ID] == 0 {
-			launchT := 0.0
-			class := launchConst
-			if !inst.IsMacro() && inst.Cell.Sequential {
-				launchT = inst.Cell.ClkQS
-				class = launchReg
-			}
-			if inst.IsMacro() {
-				launchT = inst.Macro.AccessLatencyS
-				class = launchMacro
-			}
-			for _, pin := range inst.Pins() {
-				if pin.IsOutput {
-					arr[pin.ID] = launchT
-					seen[pin.ID] = true
-					cls[pin.ID] = class
-				}
-			}
-			t.queue = append(t.queue, inst)
-			pending[inst.ID] = -1
+	for _, inst := range t.g.order {
+		tOut, src := 0.0, int32(-1)
+		if t.g.class[inst.ID] != notLaunch {
+			tOut = launchTime(inst)
+		} else {
+			tOut, src = t.bestInput(inst)
 		}
-	}
-	for qi := 0; qi < len(t.queue); qi++ {
-		inst := t.queue[qi]
+		t.setOutputs(inst, tOut, src)
 		for _, out := range inst.Pins() {
 			if !out.IsOutput || out.Net == nil || out.Net.Clock {
 				continue
 			}
-			if !seen[out.ID] {
-				continue
-			}
-			tOut := arr[out.ID]
-			d := netDelay(out.Net)
+			tSink := tOut + netDelay(out.Net)
 			for _, sink := range out.Net.Sinks {
-				tSink := tOut + d
 				if !seen[sink.ID] || tSink < arr[sink.ID] {
 					arr[sink.ID] = tSink
 					seen[sink.ID] = true
-					cls[sink.ID] = cls[out.ID]
-				}
-				sid := sink.Inst.ID
-				if pending[sid] < 0 {
-					continue
-				}
-				pending[sid]--
-				if pending[sid] == 0 {
-					pending[sid] = -1
-					best := 0.0
-					bestCls := launchConst
-					first := true
-					for _, in := range sink.Inst.Pins() {
-						if in.IsOutput || in.Net == nil || in.Net.Clock {
-							continue
-						}
-						if seen[in.ID] && (first || arr[in.ID] < best) {
-							best = arr[in.ID]
-							bestCls = cls[in.ID]
-							first = false
-						}
-					}
-					for _, op := range sink.Inst.Pins() {
-						if op.IsOutput {
-							arr[op.ID] = best
-							seen[op.ID] = true
-							cls[op.ID] = bestCls
-						}
-					}
-					t.queue = append(t.queue, sink.Inst)
+					from[sink.ID] = int32(out.ID)
 				}
 			}
 		}
 	}
 
 	rep := &HoldReport{WorstSlackS: 1e9}
-	for _, inst := range nl.Instances {
-		if inst.IsMacro() || !inst.Cell.Sequential {
+	for _, pin := range t.g.endpoints {
+		if pin.Inst.IsMacro() || !seen[pin.ID] {
 			continue
 		}
-		for _, pin := range inst.Pins() {
-			if pin.IsOutput || pin.Net == nil || pin.Net.Clock {
-				continue
-			}
-			if !seen[pin.ID] {
-				continue
-			}
-			// Constant-launched paths (tie cells, input stubs) carry no
-			// clock-edge race and are not hold-checked.
-			if cls[pin.ID] == launchConst {
-				continue
-			}
-			rep.Endpoints++
-			slack := arr[pin.ID] - holdTimeS
-			if slack < rep.WorstSlackS {
-				rep.WorstSlackS = slack
-				rep.WorstEndpoint = inst.Name + "/" + pin.Name
-			}
-			if slack < 0 {
-				rep.Violations++
-			}
+		// Constant-launched paths (tie cells, input stubs) carry no
+		// clock-edge race and are not hold-checked.
+		if t.launchOf(pin) == launchConst {
+			continue
+		}
+		rep.Endpoints++
+		slack := arr[pin.ID] - holdTimeS
+		if slack < rep.WorstSlackS {
+			rep.WorstSlackS = slack
+			rep.WorstEndpoint = pin.Inst.Name + "/" + pin.Name
+		}
+		if slack < 0 {
+			rep.Violations++
 		}
 	}
 	if rep.Endpoints == 0 {
@@ -171,12 +110,19 @@ func (t *Timer) AnalyzeHold() (*HoldReport, error) {
 	return rep, nil
 }
 
-// isLaunch reports whether an instance's outputs start timing paths.
-func isLaunch(inst *netlist.Instance) bool {
-	if inst.IsMacro() {
-		return true
+// bestInput is worstInput's min counterpart: the earliest arrival over
+// inst's data inputs and its pin, the first strict minimum winning ties.
+func (t *Timer) bestInput(inst *netlist.Instance) (float64, int32) {
+	best, src := 0.0, int32(-1)
+	for _, in := range inst.Pins() {
+		if in.IsOutput || in.Net == nil || in.Net.Clock {
+			continue
+		}
+		if t.seen[in.ID] && (src < 0 || t.arr[in.ID] < best) {
+			best, src = t.arr[in.ID], int32(in.ID)
+		}
 	}
-	return inst.Cell.Sequential
+	return best, src
 }
 
 // netDelayParts computes the corner-independent pieces of one net's
@@ -226,16 +172,34 @@ func makeNetDelay(wm *WireModel, tierScale []float64) func(*netlist.Net) float64
 
 // GroupEndpoints classifies every timing endpoint by path group using the
 // max-arrival analysis and returns per-group summaries (sorted by group).
+// An endpoint's launch class is that of the instance at the root of its
+// critical path's from[] chain.
 func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, rep *Report) ([]GroupSummary, error) {
 	if rep == nil {
 		return nil, fmt.Errorf("sta: nil setup report")
 	}
-	// Re-derive worst arrival per endpoint group from a fresh analysis:
-	// we only need the endpoint pins and their launch classes, which the
-	// existing Analyze exposes via the critical path; for grouping we
-	// rerun arrivals here in a compact form.
+	tm := NewTimer(p, nl, wm)
+	tm.propagateMax()
 	groups := map[PathGroup]*GroupSummary{}
-	bump := func(g PathGroup, arrival float64, name string) {
+	for _, pin := range tm.g.endpoints {
+		if !tm.seen[pin.ID] {
+			continue
+		}
+		arrival := tm.arr[pin.ID]
+		var g PathGroup
+		if pin.Inst.IsMacro() {
+			g = GroupRegToMacro // macro endpoint; launch class irrelevant label-wise
+		} else {
+			arrival += pin.Inst.Cell.SetupS
+			switch tm.launchOf(pin) {
+			case launchMacro:
+				g = GroupMacroToReg
+			case launchConst:
+				g = GroupInToReg
+			default:
+				g = GroupRegToReg
+			}
+		}
 		s, ok := groups[g]
 		if !ok {
 			s = &GroupSummary{Group: g}
@@ -244,42 +208,7 @@ func GroupEndpoints(p *tech.PDK, nl *netlist.Netlist, wm *WireModel, rep *Report
 		s.Endpoints++
 		if arrival > s.WorstArrivalS {
 			s.WorstArrivalS = arrival
-			s.WorstEndpoint = name
-		}
-	}
-	tm := NewTimer(p, nl, wm)
-	tm.arrivalsWithLaunchClass()
-	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		mac := inst.IsMacro()
-		if !seq && !mac {
-			continue
-		}
-		for _, pin := range inst.Pins() {
-			if pin.IsOutput || pin.Net == nil || pin.Net.Clock {
-				continue
-			}
-			if !tm.seen[pin.ID] {
-				continue
-			}
-			t := tm.arr[pin.ID]
-			if seq {
-				t += inst.Cell.SetupS
-			}
-			var g PathGroup
-			switch {
-			case mac && tm.cls[pin.ID] == launchMacro:
-				g = GroupRegToMacro // macro endpoint; launch class irrelevant label-wise
-			case mac:
-				g = GroupRegToMacro
-			case tm.cls[pin.ID] == launchMacro:
-				g = GroupMacroToReg
-			case tm.cls[pin.ID] == launchConst:
-				g = GroupInToReg
-			default:
-				g = GroupRegToReg
-			}
-			bump(g, t, inst.Name+"/"+pin.Name)
+			s.WorstEndpoint = pin.Inst.Name + "/" + pin.Name
 		}
 	}
 	out := make([]GroupSummary, 0, len(groups))

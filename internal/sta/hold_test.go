@@ -1,6 +1,9 @@
 package sta
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"m3d/internal/cell"
@@ -117,8 +120,11 @@ func TestHoldMinPropagation(t *testing.T) {
 	}
 }
 
-func TestGroupEndpoints(t *testing.T) {
-	p, lib := libs(t)
+// groupsNetlist builds a small design with in2reg, reg2reg and
+// macro2reg endpoints: an input stub into a register, a register through
+// three inverters into a sink register, and an RRAM bank read port
+// straight into a capture flip-flop.
+func groupsNetlist(lib *cell.Library) *netlist.Netlist {
 	b := synth.NewBuilder("grp", lib)
 	// reg2reg paths.
 	d := b.Input("d", 0.2)
@@ -136,12 +142,17 @@ func TestGroupEndpoints(t *testing.T) {
 	ff := b.NL.AddCell("capff", lib.MustPick(cell.DFF, 1))
 	b.NL.MustPin(ff, "D", false, ff.Cell.InputCapF, rd)
 	b.NL.MustPin(ff, "CK", false, ff.Cell.InputCapF, b.Clk)
+	return b.NL
+}
 
-	rep, err := Analyze(p, b.NL, nil, 50e-9)
+func TestGroupEndpoints(t *testing.T) {
+	p, lib := libs(t)
+	nl := groupsNetlist(lib)
+	rep, err := Analyze(p, nl, nil, 50e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := GroupEndpoints(p, b.NL, nil, rep)
+	groups, err := GroupEndpoints(p, nl, nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,75 @@ func TestGroupEndpoints(t *testing.T) {
 	if m2r.WorstArrivalS < 10e-9 {
 		t.Errorf("macro2reg worst arrival %g should include the RRAM latency", m2r.WorstArrivalS)
 	}
-	if _, err := GroupEndpoints(p, b.NL, nil, nil); err == nil {
+	if _, err := GroupEndpoints(p, nl, nil, nil); err == nil {
 		t.Error("nil report should fail")
+	}
+}
+
+// TestLaunchClassGolden pins GroupEndpoints' summaries (endpoint count,
+// worst arrival bits, worst endpoint) and the hold report on seeded
+// random DAGs (pre-route HPWL wires), the three-group design and the
+// routed systolic block. Both depend on each endpoint's launch class,
+// read off the root of its from[] chain; the values were recorded with
+// a separate class-propagating pass, so the root lookup is checked
+// against an independent implementation.
+func TestLaunchClassGolden(t *testing.T) {
+	p, lib := libs(t)
+	_, routed, routedWM, _ := routedFixture(t, 2, 2)
+	for _, tc := range []struct {
+		name   string
+		nl     *netlist.Netlist
+		wm     *WireModel
+		groups []string
+		hold   string
+	}{
+		{"random1", randomTimedNetlist(t, lib, 1), nil,
+			[]string{"reg2reg 8 0x3e22e5e7f96ef781 cff2/D"},
+			"8 0 0x3e0e20a5f81bca24 cff4/D"},
+		{"random2", randomTimedNetlist(t, lib, 2), nil,
+			[]string{"reg2reg 8 0x3e25bad184c674e7 cff3/D"},
+			"8 0 0x3e09eb5cfee505f0 cff4/D"},
+		{"random3", randomTimedNetlist(t, lib, 3), nil,
+			[]string{"reg2reg 8 0x3e238d654e96d46e cff6/D"},
+			"8 0 0x3e07e37dde7d3e56 cff3/D"},
+		{"groups", groupsNetlist(lib), nil,
+			[]string{
+				"in2reg 1 0x3db059c7d582c6cc r0_5/D",
+				"macro2reg 1 0x3e457d4d3b462da6 capff/D",
+				"reg2reg 1 0x3dcc38e652e24c4d o0_of_7/D",
+			},
+			"2 0 0x3dc055979df582ee o0_of_7/D"},
+		{"routed", routed, routedWM,
+			[]string{
+				"in2reg 24 0x3dc88f4b38c396c9 cs_pe_r0c1_wr2_320/D",
+				"reg2reg 92 0x3e1f0dca54205391 cs_pe_r1c0_pr11_688/D",
+			},
+			"56 0 0x3dacc71baf0301f0 cs_ps_out_c0_1_of_880/D"},
+	} {
+		rep, err := Analyze(p, tc.nl, tc.wm, 10e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, err := GroupEndpoints(p, tc.nl, tc.wm, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, g := range groups {
+			got = append(got, fmt.Sprintf("%s %d %#x %s",
+				g.Group, g.Endpoints, math.Float64bits(g.WorstArrivalS), g.WorstEndpoint))
+		}
+		if !reflect.DeepEqual(got, tc.groups) {
+			t.Errorf("%s: groups\n got %q\nwant %q", tc.name, got, tc.groups)
+		}
+		h, err := AnalyzeHold(p, tc.nl, tc.wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold := fmt.Sprintf("%d %d %#x %s",
+			h.Endpoints, h.Violations, math.Float64bits(h.WorstSlackS), h.WorstEndpoint)
+		if hold != tc.hold {
+			t.Errorf("%s: hold %q, want %q", tc.name, hold, tc.hold)
+		}
 	}
 }

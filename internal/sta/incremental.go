@@ -18,12 +18,12 @@ import (
 //     sink arrivals; sequential changed cells first refresh their launch
 //     arrivals (ClkQS differs across drive variants).
 //   - Propagate: sink instances whose arrival moved are enqueued into
-//     level-ordered buckets (levels built once, lazily, from the same
-//     Kahn traversal Analyze uses). Processing ascending levels visits
-//     each instance at most once, because a sink's level is strictly
-//     above its driver's; the per-instance recomputation is the same
-//     worst-input scan Analyze runs, including the `>=` last-max tie
-//     rule, so from[] links match a full pass exactly.
+//     buckets by their level in the shared timing graph. Processing
+//     ascending levels visits each instance at most once, because a
+//     sink's level is strictly above its driver's; the per-instance
+//     recomputation is Analyze's own worst-input scan (worstInput),
+//     including the `>=` last-max tie rule, so from[] links match a
+//     full pass exactly.
 //   - Prune: an instance whose outputs did not move propagates nothing.
 //
 // Exactness (not just approximate equality): every sink pin arrival has
@@ -33,10 +33,10 @@ import (
 // full re-analysis. The differential tests in incremental_test.go pin
 // this after every optimize round.
 //
-// Invalidation rule: any pass that repurposes the shared scratch for a
-// different propagation (AnalyzeHold's min-arrival pass,
-// arrivalsWithLaunchClass) clears t.valid, and the next incremental call
-// silently falls back to a full Analyze.
+// Invalidation rule: a pass that repurposes the shared scratch for a
+// different propagation (AnalyzeHold's min-arrival pass) or changes the
+// corner (SetTierDelayScale) clears t.valid, and the next incremental
+// call silently falls back to a full Analyze.
 
 // AnalyzeIncremental updates the timing solution after the given
 // instances changed cells (drive upsizing) and returns a report
@@ -49,24 +49,23 @@ func (t *Timer) AnalyzeIncremental(targetPeriodS float64, changed []*netlist.Ins
 	if !t.valid || t.forceFull {
 		return t.Analyze(targetPeriodS)
 	}
-	t.ensureLevels()
+	if t.inQ == nil {
+		t.inQ = make([]uint32, len(t.nl.Instances))
+		t.netEp = make([]uint32, len(t.nl.Nets))
+		t.buckets = make([][]*netlist.Instance, t.g.maxLvl+1)
+	}
 	t.stats.IncrementalPasses++
-	nl := t.nl
 	arr, seen, from := t.arr, t.seen, t.from
 	netDelay := makeNetDelay(t.wm, t.tierScale)
 
 	t.qEpoch++
 	if t.qEpoch == 0 {
-		for i := range t.inQ {
-			t.inQ[i] = 0
-		}
+		clear(t.inQ)
 		t.qEpoch = 1
 	}
 	t.netEpoch++
 	if t.netEpoch == 0 {
-		for i := range t.netEp {
-			t.netEp[i] = 0
-		}
+		clear(t.netEp)
 		t.netEpoch = 1
 	}
 	for i := range t.buckets {
@@ -82,7 +81,7 @@ func (t *Timer) AnalyzeIncremental(targetPeriodS float64, changed []*netlist.Ins
 		// Launch instances own their output arrivals; unresolved
 		// instances (outputs never seen by the full pass) stay untouched,
 		// exactly as a full re-analysis would leave them.
-		if inst.IsMacro() || inst.Cell.Sequential || isConstKind(inst.Cell) {
+		if t.g.class[id] != notLaunch {
 			return
 		}
 		resolved := false
@@ -96,7 +95,7 @@ func (t *Timer) AnalyzeIncremental(targetPeriodS float64, changed []*netlist.Ins
 			return
 		}
 		t.inQ[id] = t.qEpoch
-		l := t.lvl[id]
+		l := t.g.lvl[id]
 		t.buckets[l] = append(t.buckets[l], inst)
 		if l > maxUsed {
 			maxUsed = l
@@ -129,7 +128,7 @@ func (t *Timer) AnalyzeIncremental(targetPeriodS float64, changed []*netlist.Ins
 	// Launch refresh first: a changed sequential cell launches at its new
 	// ClkQS, and the seeds below must read the refreshed arrivals.
 	for _, inst := range changed {
-		if inst.IsMacro() || !inst.Cell.Sequential {
+		if t.g.class[inst.ID] != launchReg {
 			continue
 		}
 		launchT := inst.Cell.ClkQS
@@ -150,19 +149,7 @@ func (t *Timer) AnalyzeIncremental(targetPeriodS float64, changed []*netlist.Ins
 		for qi := 0; qi < len(t.buckets[l]); qi++ {
 			inst := t.buckets[l][qi]
 			recomputed++
-			// The same worst-input scan as Analyze, `>=` keeping the last
-			// max so worstPin ties break identically.
-			worstIn := 0.0
-			var worstPin *netlist.Pin
-			for _, in := range inst.Pins() {
-				if in.IsOutput || in.Net == nil || in.Net.Clock {
-					continue
-				}
-				if seen[in.ID] && arr[in.ID] >= worstIn {
-					worstIn = arr[in.ID]
-					worstPin = in
-				}
-			}
+			worstIn, src := t.worstInput(inst)
 			moved := false
 			for _, op := range inst.Pins() {
 				if !op.IsOutput || !seen[op.ID] {
@@ -172,9 +159,7 @@ func (t *Timer) AnalyzeIncremental(targetPeriodS float64, changed []*netlist.Ins
 					arr[op.ID] = worstIn
 					moved = true
 				}
-				if worstPin != nil && from[op.ID] != int32(worstPin.ID) {
-					from[op.ID] = int32(worstPin.ID)
-				}
+				from[op.ID] = src
 			}
 			if !moved {
 				continue
@@ -199,58 +184,6 @@ func (t *Timer) AnalyzeIncremental(targetPeriodS float64, changed []*netlist.Ins
 		}
 	}
 	t.stats.RecomputedInsts += recomputed
-	t.stats.SkippedInsts += len(nl.Instances) - recomputed
+	t.stats.SkippedInsts += len(t.nl.Instances) - recomputed
 	return t.buildReport(targetPeriodS)
-}
-
-// ensureLevels builds the per-instance topological levels with the same
-// Kahn traversal Analyze uses. Built lazily: full-only Timer users never
-// pay for it.
-func (t *Timer) ensureLevels() {
-	if t.lvl != nil {
-		return
-	}
-	nl := t.nl
-	t.lvl = make([]int32, len(nl.Instances))
-	t.inQ = make([]uint32, len(nl.Instances))
-	t.netEp = make([]uint32, len(nl.Nets))
-	pending := make([]int32, len(nl.Instances))
-	copy(pending, t.pendingInit)
-	var queue []*netlist.Instance
-	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		if seq || inst.IsMacro() || isConstKind(inst.Cell) || pending[inst.ID] == 0 {
-			queue = append(queue, inst)
-			pending[inst.ID] = -1
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		inst := queue[qi]
-		for _, out := range inst.Pins() {
-			if !out.IsOutput || out.Net == nil || out.Net.Clock {
-				continue
-			}
-			for _, sink := range out.Net.Sinks {
-				sid := sink.Inst.ID
-				if pending[sid] < 0 {
-					continue
-				}
-				if l := t.lvl[inst.ID] + 1; l > t.lvl[sid] {
-					t.lvl[sid] = l
-				}
-				pending[sid]--
-				if pending[sid] == 0 {
-					pending[sid] = -1
-					queue = append(queue, sink.Inst)
-				}
-			}
-		}
-	}
-	t.maxLvl = 0
-	for _, l := range t.lvl {
-		if l > t.maxLvl {
-			t.maxLvl = l
-		}
-	}
-	t.buckets = make([][]*netlist.Instance, t.maxLvl+1)
 }

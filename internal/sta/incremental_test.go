@@ -240,10 +240,10 @@ func TestOptimizeDrivesForceFullOracle(t *testing.T) {
 	}
 }
 
-// TestIncrementalInvalidation: passes that repurpose the shared scratch
-// (AnalyzeHold's min-arrival pass, the launch-class pass) must force the
-// next AnalyzeIncremental to fall back to a full Analyze — and the
-// fallback must still produce the exact full-analysis report.
+// TestIncrementalInvalidation: a pass that repurposes the shared scratch
+// (AnalyzeHold's min-arrival pass) must force the next
+// AnalyzeIncremental to fall back to a full Analyze — and the fallback
+// must still produce the exact full-analysis report.
 func TestIncrementalInvalidation(t *testing.T) {
 	p, lib := libs(t)
 	nl := randomTimedNetlist(t, lib, 42)
@@ -275,10 +275,6 @@ func TestIncrementalInvalidation(t *testing.T) {
 	}
 	assertSameReports(t, "post-hold fallback", full, rep)
 
-	tm.arrivalsWithLaunchClass()
-	if tm.valid {
-		t.Fatal("launch-class pass must invalidate the max-arrival scratch")
-	}
 	if _, err := tm.AnalyzeIncremental(0, nil); err == nil {
 		t.Error("non-positive target must be rejected")
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"m3d/internal/cell"
 	"m3d/internal/netlist"
 	"m3d/internal/route"
 	"m3d/internal/tech"
@@ -107,13 +106,10 @@ type Report struct {
 func (r *Report) Met() bool { return r.WorstSlackS >= 0 }
 
 // Timer runs repeated timing passes over one netlist with slice-indexed
-// bookkeeping: arrival times, predecessor links, and launch classes are
-// arrays over the dense Pin.ID space, and the per-instance combinational
-// dependency counts (the levelization structure) are built once at
-// construction and restored by copy for every pass. This replaces the
-// map[*Pin]float64 / map[*Instance]*node bookkeeping that dominated STA
-// allocations, and lets OptimizeDrives rerun analysis each round without
-// rebuilding anything.
+// bookkeeping: arrival times and predecessor links are arrays over the
+// dense Pin.ID space, and the levelized timing graph (graph.go) is built
+// once at construction and walked by every pass. This lets
+// OptimizeDrives rerun analysis each round without rebuilding anything.
 //
 // A Timer is single-goroutine; the netlist topology (instances, pins,
 // nets) must not change between passes. Cell pointer swaps (drive
@@ -122,34 +118,25 @@ type Timer struct {
 	p  *tech.PDK
 	nl *netlist.Netlist
 	wm *WireModel
-
-	// pendingInit is the per-instance count of connected non-clock input
-	// pins, indexed by Instance.ID — the static levelization structure.
-	pendingInit []int32
+	g  *graph
 
 	// Per-pass scratch, reused across passes.
-	pending []int32       // per instance: remaining inputs; -1 = resolved
-	arr     []float64     // per pin: arrival time
-	seen    []bool        // per pin: arrival computed
-	from    []int32       // per pin: predecessor Pin.ID, -1 = launch
-	cls     []launchClass // per pin: dominant launch class
-	queue   []*netlist.Instance
+	arr  []float64 // per pin: arrival time
+	seen []bool    // per pin: arrival computed
+	from []int32   // per pin: predecessor Pin.ID, -1 = path root (stale where !seen)
 
 	// Incremental-analysis state (see incremental.go). valid marks the
 	// arr/seen/from scratch as holding a complete max-arrival solution;
-	// passes that repurpose the scratch for other propagations
-	// (AnalyzeHold, arrivalsWithLaunchClass) clear it, which forces the
-	// next AnalyzeIncremental to fall back to a full Analyze.
+	// AnalyzeHold repurposes the scratch for min arrivals and clears it,
+	// which forces the next AnalyzeIncremental to fall back to a full
+	// Analyze.
 	valid bool
 	// forceFull makes AnalyzeIncremental delegate to Analyze — the
 	// differential tests use it to run the full-analysis oracle through
 	// the exact OptimizeDrives code path.
 	forceFull bool
-	// lvl is the topological level per instance (built lazily); buckets,
-	// inQ and netEp are the incremental pass's level-ordered work queue
-	// and epoch-stamped dedupe sets.
-	lvl      []int32
-	maxLvl   int32
+	// buckets, inQ and netEp are the incremental pass's level-ordered
+	// work queue and epoch-stamped dedupe sets, allocated on first use.
 	buckets  [][]*netlist.Instance
 	inQ      []uint32
 	qEpoch   uint32
@@ -205,35 +192,13 @@ func NewTimer(p *tech.PDK, nl *netlist.Netlist, wm *WireModel) *Timer {
 	if wm == nil {
 		wm = NewWireModel(p, nil)
 	}
-	t := &Timer{
+	return &Timer{
 		p: p, nl: nl, wm: wm,
-		pendingInit: make([]int32, len(nl.Instances)),
-		pending:     make([]int32, len(nl.Instances)),
-		arr:         make([]float64, nl.NumPins()),
-		seen:        make([]bool, nl.NumPins()),
-		from:        make([]int32, nl.NumPins()),
-		cls:         make([]launchClass, nl.NumPins()),
+		g:    newGraph(nl),
+		arr:  make([]float64, nl.NumPins()),
+		seen: make([]bool, nl.NumPins()),
+		from: make([]int32, nl.NumPins()),
 	}
-	for _, inst := range nl.Instances {
-		var n int32
-		for _, pin := range inst.Pins() {
-			if !pin.IsOutput && pin.Net != nil && !pin.Net.Clock {
-				n++
-			}
-		}
-		t.pendingInit[inst.ID] = n
-	}
-	return t
-}
-
-// reset restores the per-pass scratch for a fresh propagation.
-func (t *Timer) reset() {
-	copy(t.pending, t.pendingInit)
-	for i := range t.seen {
-		t.seen[i] = false
-		t.from[i] = -1
-	}
-	t.queue = t.queue[:0]
 }
 
 // Analyze runs STA at the given target clock period.
@@ -247,93 +212,72 @@ func (t *Timer) Analyze(targetPeriodS float64) (*Report, error) {
 	if targetPeriodS <= 0 {
 		return nil, fmt.Errorf("sta: target period must be positive, got %g", targetPeriodS)
 	}
-	t.reset()
-	nl := t.nl
-	arr, seen, from, pending := t.arr, t.seen, t.from, t.pending
+	t.propagateMax()
+	t.valid = true
+	t.stats.FullPasses++
+	return t.buildReport(targetPeriodS)
+}
+
+// propagateMax is the max kernel: it walks the graph order and leaves
+// the latest arrival and its predecessor at every reachable pin.
+func (t *Timer) propagateMax() {
+	clear(t.seen)
+	arr, seen, from := t.arr, t.seen, t.from
 	netDelay := makeNetDelay(t.wm, t.tierScale)
-
-	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		mac := inst.IsMacro()
-		tie := !mac && (inst.Cell.Kind == cell.TieHi || inst.Cell.Kind == cell.TieLo)
-		if seq || mac || tie || pending[inst.ID] == 0 {
-			// Launch point: outputs available at fixed time.
-			launchT := 0.0
-			if seq {
-				launchT = inst.Cell.ClkQS
-			}
-			if mac {
-				launchT = inst.Macro.AccessLatencyS
-			}
-			for _, pin := range inst.Pins() {
-				if pin.IsOutput {
-					arr[pin.ID] = launchT
-					seen[pin.ID] = true
-				}
-			}
-			t.queue = append(t.queue, inst)
-			pending[inst.ID] = -1 // mark done
+	for _, inst := range t.g.order {
+		tOut, src := 0.0, int32(-1)
+		if t.g.class[inst.ID] != notLaunch {
+			tOut = launchTime(inst)
+		} else {
+			// The cell's intrinsic and drive delay are charged on the
+			// output net arc (netDelay), so the output pin launches at
+			// the worst input arrival.
+			tOut, src = t.worstInput(inst)
 		}
-	}
-
-	for qi := 0; qi < len(t.queue); qi++ {
-		inst := t.queue[qi]
+		t.setOutputs(inst, tOut, src)
 		for _, out := range inst.Pins() {
 			if !out.IsOutput || out.Net == nil || out.Net.Clock {
 				continue
 			}
-			if !seen[out.ID] {
-				continue
-			}
-			tOut := arr[out.ID]
-			d := netDelay(out.Net)
+			tSink := tOut + netDelay(out.Net)
 			for _, sink := range out.Net.Sinks {
-				tSink := tOut + d
 				if !seen[sink.ID] || tSink > arr[sink.ID] {
 					arr[sink.ID] = tSink
 					seen[sink.ID] = true
 					from[sink.ID] = int32(out.ID)
 				}
-				sid := sink.Inst.ID
-				if pending[sid] < 0 {
-					continue // launch point; D pins are endpoints only
-				}
-				pending[sid]--
-				if pending[sid] == 0 {
-					pending[sid] = -1
-					// Compute output arrivals: max input arrival + cell delay.
-					worstIn := 0.0
-					var worstPin *netlist.Pin
-					for _, in := range sink.Inst.Pins() {
-						if in.IsOutput || in.Net == nil || in.Net.Clock {
-							continue
-						}
-						if seen[in.ID] && arr[in.ID] >= worstIn {
-							worstIn = arr[in.ID]
-							worstPin = in
-						}
-					}
-					// The cell's intrinsic and drive delay are charged on the
-					// output net arc (netDelay), so the output pin launches
-					// at the worst input arrival.
-					for _, op := range sink.Inst.Pins() {
-						if op.IsOutput {
-							arr[op.ID] = worstIn
-							seen[op.ID] = true
-							if worstPin != nil {
-								from[op.ID] = int32(worstPin.ID)
-							}
-						}
-					}
-					t.queue = append(t.queue, sink.Inst)
-				}
 			}
 		}
 	}
+}
 
-	t.valid = true
-	t.stats.FullPasses++
-	return t.buildReport(targetPeriodS)
+// worstInput returns the latest arrival over inst's data inputs and the
+// pin it arrives on (-1 if none has arrived). `>=` keeps the last
+// maximum, so ties break toward the later pin; the full and incremental
+// passes share this scan, which keeps their from[] links identical.
+func (t *Timer) worstInput(inst *netlist.Instance) (float64, int32) {
+	worst, src := 0.0, int32(-1)
+	for _, in := range inst.Pins() {
+		if in.IsOutput || in.Net == nil || in.Net.Clock {
+			continue
+		}
+		if t.seen[in.ID] && t.arr[in.ID] >= worst {
+			worst, src = t.arr[in.ID], int32(in.ID)
+		}
+	}
+	return worst, src
+}
+
+// setOutputs gives every output pin of inst the arrival tOut, reached
+// from pin src (-1 for a path root).
+func (t *Timer) setOutputs(inst *netlist.Instance, tOut float64, src int32) {
+	for _, op := range inst.Pins() {
+		if op.IsOutput {
+			t.arr[op.ID] = tOut
+			t.seen[op.ID] = true
+			t.from[op.ID] = src
+		}
+	}
 }
 
 // buildReport scans the timing endpoints and traces the critical path
@@ -347,28 +291,18 @@ func (t *Timer) buildReport(targetPeriodS float64) (*Report, error) {
 	rep := &Report{TargetPeriodS: targetPeriodS}
 	var worst float64
 	var worstPin *netlist.Pin
-	for _, inst := range nl.Instances {
-		seq := !inst.IsMacro() && inst.Cell.Sequential
-		mac := inst.IsMacro()
-		if !seq && !mac {
+	for _, pin := range t.g.endpoints {
+		if !seen[pin.ID] {
 			continue
 		}
-		for _, pin := range inst.Pins() {
-			if pin.IsOutput || pin.Net == nil || pin.Net.Clock {
-				continue
-			}
-			if !seen[pin.ID] {
-				continue
-			}
-			tEnd := arr[pin.ID]
-			if seq {
-				tEnd += inst.Cell.SetupS
-			}
-			rep.Endpoints++
-			if tEnd > worst {
-				worst = tEnd
-				worstPin = pin
-			}
+		tEnd := arr[pin.ID]
+		if !pin.Inst.IsMacro() {
+			tEnd += pin.Inst.Cell.SetupS
+		}
+		rep.Endpoints++
+		if tEnd > worst {
+			worst = tEnd
+			worstPin = pin
 		}
 	}
 	if rep.Endpoints == 0 {

@@ -223,10 +223,6 @@ type (
 	// Option configures one run: pool width, cancellation, tracing,
 	// metrics, export sinks.
 	Option = exec.Option
-	// ExecOption is the former name of Option.
-	//
-	// Deprecated: use Option.
-	ExecOption = exec.Option
 )
 
 var (
@@ -245,7 +241,7 @@ var (
 	DefaultWorkers = exec.DefaultWorkers
 )
 
-// Export sinks (replacing the deprecated SoCSpec writer fields).
+// Export sinks.
 type (
 	// Sinks bundles the optional GDS/Verilog/DEF export writers of a run.
 	Sinks = flow.Sinks
@@ -302,7 +298,7 @@ var (
 
 // SweepBandwidthCS evaluates the Fig. 8 (CS count × bandwidth) grid on
 // the worker pool with deterministic, serial-identical ordering.
-func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts ...ExecOption) ([]SweepPoint, error) {
+func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts ...Option) ([]SweepPoint, error) {
 	return analytic.SweepBandwidthCS(p, w, csCounts, bwScales, opts...)
 }
 

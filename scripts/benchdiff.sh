@@ -134,17 +134,10 @@ awk -v threshold="$THRESHOLD_PCT" -v allocThreshold="$ALLOC_THRESHOLD_PCT" \
             if (line !~ /"Benchmark/) continue
             name = line; sub(/^[^"]*"/, "", name); sub(/".*$/, "", name)
             rest = line; sub(/^[^:]*:[ \t]*/, "", rest)
-            if (rest ~ /"ns_per_op"/) {
-                v = rest; sub(/^.*"ns_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
-                ns[name] = v + 0
-                v = rest; sub(/^.*"allocs_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
-                al[name] = v + 0
-            } else {
-                # legacy flat schema: "Name": <ns>
-                sub(/,.*$/, "", rest)
-                ns[name] = rest + 0
-                al[name] = -1
-            }
+            v = rest; sub(/^.*"ns_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
+            ns[name] = v + 0
+            v = rest; sub(/^.*"allocs_per_op"[ \t]*:[ \t]*/, "", v); sub(/[,}].*$/, "", v)
+            al[name] = v + 0
         }
         close(file)
     }

@@ -62,21 +62,13 @@ echo "== invariant suite =="
 # Property-based guarantees of the Sec. III model (randomized seeded
 # draws), the paper's headline EDP band, and the inter-tier variation
 # sampler (yield monotonicity, quantile order, correlation collapse).
-go test -run 'TestInvariant' -count=1 ./internal/analytic/
-go test -run 'TestHeadline' -count=1 ./internal/core/
-go test -run 'TestInvariant' -count=1 ./internal/vary/
+# Defined once, in the Makefile's invariants target.
+make invariants
 
 echo "== fuzz smoke (${FUZZTIME}/target) =="
-for pkg in verilog def lef liberty; do
-    echo "-- internal/$pkg"
-    go test -fuzz=FuzzRead -fuzztime="$FUZZTIME" "./internal/$pkg/"
-done
-echo "-- internal/serve"
-go test -fuzz=FuzzSweepRequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzBatchRequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzDSERequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzJobsRequest -fuzztime="$FUZZTIME" ./internal/serve/
-go test -fuzz=FuzzYieldRequest -fuzztime="$FUZZTIME" ./internal/serve/
+# Every text parser and /v1 request decoder; the target list lives in
+# the Makefile's fuzz target.
+make fuzz FUZZTIME="$FUZZTIME"
 
 echo "== profile harness smoke =="
 # The `make profile` pipeline must keep producing parseable pprof
