@@ -42,13 +42,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzYieldRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # The property-based invariant suite (speedup ≤ N, EDP/bandwidth and
-# thermal monotonicity, degenerate-to-2D), the headline-band tests, and
-# the inter-tier variation sampler invariants (yield monotonicity,
-# quantile order, correlation collapse).
+# thermal monotonicity, degenerate-to-2D), the headline-band tests, the
+# inter-tier variation sampler invariants (yield monotonicity, quantile
+# order, correlation collapse), and the router invariants over random
+# placed netlists (3D connectivity, usage conservation, one use of each
+# grid edge per net).
 invariants:
 	$(GO) test -run 'TestInvariant' -count=1 -v ./internal/analytic/
 	$(GO) test -run 'TestHeadline' -count=1 ./internal/core/
 	$(GO) test -run 'TestInvariant' -count=1 -v ./internal/vary/
+	$(GO) test -run 'TestInvariant' -count=1 ./internal/route/
 
 # Benchmark regression gate: fails on >25% ns/op or >25% allocs/op
 # regression vs the committed bench/BENCH_0.json baseline (see

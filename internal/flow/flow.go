@@ -293,6 +293,9 @@ type Result struct {
 	WLByLayer     []int64
 	Vias, ILVs    int
 	OverflowEdges int
+	// FailedNets counts routed nets left with an unconnected sink (the
+	// DRC audit's dangling-route violations).
+	FailedNets int
 
 	FmaxHz        float64
 	CriticalPathS float64
@@ -776,6 +779,7 @@ func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, erro
 		Vias:          routes.TotalVias,
 		ILVs:          routes.TotalILVs,
 		OverflowEdges: routes.OverflowEdges,
+		FailedNets:    routes.FailedNets,
 		FmaxHz:        opt.Final.FmaxHz,
 		CriticalPathS: opt.Final.CriticalPathS,
 		TimingMet:     opt.Final.Met(),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"m3d/internal/def"
+	"m3d/internal/drc"
 	"m3d/internal/gds"
 	"m3d/internal/macro"
 	"m3d/internal/tech"
@@ -250,6 +251,23 @@ func TestFlowAuditClean(t *testing.T) {
 	for _, v := range res.Audit.Violations {
 		if v.Kind != "route-overflow" {
 			t.Errorf("unexpected violation: %s", v)
+		}
+	}
+}
+
+// TestFailedNetsMatchesAudit checks that the result's FailedNets counts
+// exactly the nets the DRC audit flags as dangling routes.
+func TestFailedNetsMatchesAudit(t *testing.T) {
+	p := tech.Default130()
+	for _, style := range []macro.Style{macro.Style2D, macro.Style3D} {
+		spec := smallSpec()
+		spec.Style = style
+		res, err := Run(p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Audit.ByKind()[drc.KindDangling]; res.FailedNets != got {
+			t.Errorf("%s: FailedNets = %d, DRC dangling-route count = %d", style, res.FailedNets, got)
 		}
 	}
 }

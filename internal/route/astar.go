@@ -108,14 +108,14 @@ const ilvCost = 1.6
 // percent of path cost for a large reduction in explored nodes.
 const hWeight = 1.3
 
-// bboxMargin is the search-window margin (in gcells) around the two
-// terminals; most nets route inside it. A failed windowed search falls
-// back to the full grid.
+// bboxMargin is the search-window margin (in gcells) around the driver
+// and the sink; most connections route inside it. A failed windowed
+// search falls back to the full grid.
 const bboxMargin = 6
 
 // searcher owns the routing scratch reused across searches: the
-// epoch-stamped A* arrays, the open heap, the sink-ordering scratch and
-// the work counters.
+// epoch-stamped A* arrays, the open heap, the partial tree of the net
+// being routed, the sink-ordering scratch and the work counters.
 type searcher struct {
 	g  *grid
 	nn int // nodes in the grid
@@ -126,6 +126,13 @@ type searcher struct {
 	epoch    []uint32
 	curEpoch uint32
 	open     pq
+
+	// tree holds the nodes of the net's partial routing tree, driver
+	// first; inTree stamps its members with treeEpoch, one epoch per
+	// routeNet call.
+	tree      []int
+	inTree    []uint32
+	treeEpoch uint32
 
 	// sinkScratch is reused across routeNet calls so per-net sink
 	// ordering allocates nothing once grown.
@@ -138,19 +145,51 @@ func newSearcher(g *grid) *searcher {
 	return &searcher{g: g, nn: g.nNodes()}
 }
 
-// astar finds the min-cost path from src to dst nodes; returns the node
-// path (src..dst) or nil.
-func (s *searcher) astar(src, dst int) []int {
-	if path := s.astarBounded(src, dst, bboxMargin); path != nil {
-		return path
+// resetTree starts a new partial tree holding only the driver node.
+func (s *searcher) resetTree(driver int) {
+	if len(s.inTree) != s.nn {
+		s.inTree = make([]uint32, s.nn)
 	}
-	return s.astarBounded(src, dst, 1<<30)
+	s.treeEpoch++
+	if s.treeEpoch == 0 { // wrapped: force full reset
+		for i := range s.inTree {
+			s.inTree[i] = 0
+		}
+		s.treeEpoch = 1
+	}
+	s.tree = s.tree[:0]
+	s.addToTree(driver)
 }
 
-// astarBounded searches within a window of margin gcells around the
-// terminals. Scratch arrays are reused across calls with an epoch counter,
+// addToTree adds nodes to the partial tree.
+func (s *searcher) addToTree(nodes ...int) {
+	for _, n := range nodes {
+		if s.inTree[n] != s.treeEpoch {
+			s.inTree[n] = s.treeEpoch
+			s.tree = append(s.tree, n)
+		}
+	}
+}
+
+// onTree reports whether n is a node of the partial tree.
+func (s *searcher) onTree(n int) bool { return s.inTree[n] == s.treeEpoch }
+
+// astar finds the min-cost path to dst from the nearest of the source
+// nodes srcs (a net's partial tree, srcs[0] its driver); it returns the
+// node path, which starts on a source and leaves the sources after its
+// first node, or nil.
+func (s *searcher) astar(srcs []int, dst int) []int {
+	if path := s.astarBounded(srcs, dst, bboxMargin); path != nil {
+		return path
+	}
+	return s.astarBounded(srcs, dst, 1<<30)
+}
+
+// astarBounded is a multi-source A* within a window of margin gcells
+// around srcs[0] and dst: every source inside the window is seeded at
+// g = 0. Scratch arrays are reused across calls with an epoch counter,
 // so each search touches only the nodes it visits.
-func (s *searcher) astarBounded(src, dst, margin int) []int {
+func (s *searcher) astarBounded(srcs []int, dst, margin int) []int {
 	g := s.g
 	nNodes := s.nn
 	if len(s.gScore) != nNodes {
@@ -174,12 +213,11 @@ func (s *searcher) astarBounded(src, dst, margin int) []int {
 			from[n] = -1
 		}
 	}
-	touch(src)
 	touch(dst)
 
 	dl, dxy := g.split(dst)
 	dX, dY := dxy%g.nx, dxy/g.nx
-	sl, sxy := g.split(src)
+	_, sxy := g.split(srcs[0])
 	sX, sY := sxy%g.nx, sxy/g.nx
 
 	// Search window.
@@ -196,32 +234,36 @@ func (s *searcher) astarBounded(src, dst, margin int) []int {
 
 	s.open = s.open[:0]
 	open := &s.open
-	open.push(pqItem{node: src, f: hAt(sl, sX, sY)})
-	gScore[src] = 0
 	s.stats.Searches++
-	s.stats.Pushes++
+	for _, src := range srcs {
+		l, xy := g.split(src)
+		x, y := xy%g.nx, xy/g.nx
+		if x < x0 || x > x1 || y < y0 || y > y1 {
+			continue
+		}
+		touch(src)
+		if gScore[src] == 0 { // duplicate source
+			continue
+		}
+		gScore[src] = 0
+		open.push(pqItem{node: src, f: hAt(l, x, y)})
+		s.stats.Pushes++
+	}
 
 	for len(*open) > 0 {
 		cur := open.pop()
 		if cur.node == dst {
 			// Reconstruct into an exact-size slice, filled in reverse.
-			steps, reached := 0, false
-			for n := dst; n != -1; n = int(from[n]) {
+			// Every edge costs at least viaCost > 0, so no seed's g = 0
+			// is ever lowered: the walk ends on the first node without a
+			// predecessor, which is the source the path leaves from.
+			steps := 1
+			for n := dst; from[n] != -1; n = int(from[n]) {
 				steps++
-				if n == src {
-					reached = true
-					break
-				}
-			}
-			if !reached {
-				return nil
 			}
 			path := make([]int, steps)
-			for n, i := dst, steps-1; ; n, i = int(from[n]), i-1 {
+			for n, i := dst, steps-1; i >= 0; n, i = int(from[n]), i-1 {
 				path[i] = n
-				if n == src {
-					break
-				}
 			}
 			return path
 		}

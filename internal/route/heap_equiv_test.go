@@ -255,6 +255,8 @@ func randGrid(rng *rand.Rand, nx, ny int) *grid {
 // TestAstarPathEquivalenceRandomGrids compares the optimized search against
 // the container/heap oracle over a randomized grid corpus: same grid, same
 // terminals, both windowed and full-grid margins, element-identical paths.
+// The multi-source kernel runs with a one-element source slice, which the
+// single-source oracle must match exactly.
 func TestAstarPathEquivalenceRandomGrids(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -265,7 +267,7 @@ func TestAstarPathEquivalenceRandomGrids(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			src, dst := rng.Intn(nNodes), rng.Intn(nNodes)
 			for _, margin := range []int{bboxMargin, 1 << 30} {
-				got := s.astarBounded(src, dst, margin)
+				got := s.astarBounded([]int{src}, dst, margin)
 				want := s.astarBoundedRef(src, dst, margin)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d trial %d margin %d: path %v, reference %v",
@@ -273,5 +275,49 @@ func TestAstarPathEquivalenceRandomGrids(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAstarMultiSourceLeavesTree seeds the search with a multi-node tree
+// over the randomized grid corpus: every path it returns must start on
+// the tree, end at the target and leave the tree after its first node.
+func TestAstarMultiSourceLeavesTree(t *testing.T) {
+	found := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nx, ny := 5+rng.Intn(8), 5+rng.Intn(8)
+		g := randGrid(rng, nx, ny)
+		s := newSearcher(g)
+		nNodes := len(g.layers) * nx * ny
+		for trial := 0; trial < 40; trial++ {
+			s.resetTree(rng.Intn(nNodes))
+			for k := 1 + rng.Intn(12); k > 0; k-- {
+				s.addToTree(rng.Intn(nNodes))
+			}
+			dst := rng.Intn(nNodes)
+			if s.onTree(dst) {
+				continue
+			}
+			for _, margin := range []int{bboxMargin, 1 << 30} {
+				path := s.astarBounded(s.tree, dst, margin)
+				if path == nil {
+					continue
+				}
+				found++
+				if !s.onTree(path[0]) || path[len(path)-1] != dst {
+					t.Fatalf("seed %d trial %d margin %d: path %v does not run from the tree to %d",
+						seed, trial, margin, path, dst)
+				}
+				for _, n := range path[1:] {
+					if s.onTree(n) {
+						t.Fatalf("seed %d trial %d margin %d: path %v re-enters the tree at %d",
+							seed, trial, margin, path, n)
+					}
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no multi-source search found a path")
 	}
 }

@@ -1,6 +1,7 @@
 // Package route implements 3D global routing over the M3D metal stack: a
-// capacitated grid-cell (GCell) graph spanning the six routing layers, A*
-// maze routing per two-pin connection with congestion-aware costs, and
+// capacitated grid-cell (GCell) graph spanning the six routing layers, a
+// routing tree per net grown sink by sink with multi-source A* maze
+// search from the partial tree under congestion-aware costs, and
 // negotiated rip-up-and-reroute. Crossings between the lower metals (M1–M4,
 // below the RRAM/CNFET layers) and the upper metals (M5–M6) consume
 // inter-layer vias (ILVs), whose per-GCell capacity derives from the PDK's
@@ -239,6 +240,13 @@ func (g *grid) center(x, y int) geom.Point {
 		g.die.Lo.X+int64(x)*g.pitch+g.pitch/2,
 		g.die.Lo.Y+int64(y)*g.pitch+g.pitch/2,
 	)
+}
+
+// pinNode is the grid node a pin connects at: its GCell on its
+// instance's access layer.
+func (g *grid) pinNode(p *netlist.Pin) int {
+	x, y := g.cellOf(p.Loc())
+	return g.idx(g.pinLayer(p.Inst), x, y)
 }
 
 // pinLayer maps an instance to its routing access layer.

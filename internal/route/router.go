@@ -36,10 +36,17 @@ type sinkRef struct {
 // before each net and each rip-up round; a cancelled route returns an
 // error matching errs.ErrCanceled.
 func Route(ctx context.Context, f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, error) {
+	res, _, _, err := route(ctx, f, nl, opt)
+	return res, err
+}
+
+// route is Route, also returning the final grid and the routed nets,
+// which the invariant tests audit.
+func route(ctx context.Context, f *floorplan.Floorplan, nl *netlist.Netlist, opt Options) (*Result, *grid, []*routedNet, error) {
 	opt = opt.withDefaults()
 	g := newGrid(f, opt)
 	if g.boundary < 0 {
-		return nil, fmt.Errorf("route: stack has no lower-metal boundary")
+		return nil, nil, nil, fmt.Errorf("route: stack has no lower-metal boundary")
 	}
 
 	res := &Result{
@@ -66,7 +73,7 @@ func Route(ctx context.Context, f *floorplan.Floorplan, nl *netlist.Netlist, opt
 	s := newSearcher(g)
 	for _, rn := range work {
 		if err := checkCtx(ctx); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		rn.paths, rn.failed = s.routeNet(rn.net, rn.paths[:0])
 	}
@@ -74,7 +81,7 @@ func Route(ctx context.Context, f *floorplan.Floorplan, nl *netlist.Netlist, opt
 	// Negotiated rip-up and reroute.
 	for round := 0; round < opt.MaxRipupRounds; round++ {
 		if err := checkCtx(ctx); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		ov := g.overflowCount(true)
 		res.RipupHistory = append(res.RipupHistory, ov)
@@ -83,7 +90,7 @@ func Route(ctx context.Context, f *floorplan.Floorplan, nl *netlist.Netlist, opt
 		}
 		for _, rn := range work {
 			if err := checkCtx(ctx); err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 			if !g.anyPathOverflows(rn.paths) {
 				continue
@@ -97,7 +104,7 @@ func Route(ctx context.Context, f *floorplan.Floorplan, nl *netlist.Netlist, opt
 
 	res.Stats = s.stats
 	finalize(g, f, work, res)
-	return res, nil
+	return res, g, work, nil
 }
 
 // checkCtx converts a cancelled context into the router's error contract.
@@ -108,15 +115,18 @@ func checkCtx(ctx context.Context) error {
 	return nil
 }
 
-// routeNet routes one net from scratch: star topology from the driver,
-// nearest sink first. Each found path is committed to the grid before
-// the next sink is routed and appended to dst, which is returned along
-// with the count of unroutable sinks.
+// routeNet routes one net from scratch as a tree grown from the
+// driver, nearest sink first: each sink is reached by one multi-source
+// A* from the nearest node of the partial tree, and the new path's nodes
+// join the tree. A path leaves the tree at its first node and never
+// re-enters it, so each grid edge is charged at most once per net. Each
+// found path is committed to the grid before the next sink is routed and
+// appended to dst, which is returned along with the count of unroutable
+// sinks.
 func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 	g := s.g
 	failed := 0
-	dx, dy := g.cellOf(n.Driver.Loc())
-	src := g.idx(g.pinLayer(n.Driver.Inst), dx, dy)
+	s.resetTree(g.pinNode(n.Driver))
 	sinks := s.sinkScratch[:0]
 	dloc := n.Driver.Loc()
 	for _, sk := range n.Sinks {
@@ -127,17 +137,17 @@ func (s *searcher) routeNet(n *netlist.Net, dst [][]int) ([][]int, int) {
 	})
 	s.sinkScratch = sinks
 	for _, sr := range sinks {
-		sx, sy := g.cellOf(sr.pin.Loc())
-		d := g.idx(g.pinLayer(sr.pin.Inst), sx, sy)
-		if d == src {
+		d := g.pinNode(sr.pin)
+		if s.onTree(d) {
 			continue
 		}
-		path := s.astar(src, d)
+		path := s.astar(s.tree, d)
 		if path == nil {
 			failed++
 			continue
 		}
 		g.commitPathUsage(path, +1)
+		s.addToTree(path[1:]...)
 		dst = append(dst, path)
 	}
 	return dst, failed

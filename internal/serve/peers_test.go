@@ -68,13 +68,13 @@ var peerKeys = []string{
 	`{"kind":"bandwidth_cs","cs_counts":[1,2],"bw_scales":[1,2]}`,
 }
 
-// referenceBodies evaluates every peer key on a standalone server — the
+// referenceBodies evaluates every key on a standalone server — the
 // byte-level oracle every fleet response must match.
-func referenceBodies(t *testing.T) map[string][]byte {
+func referenceBodies(t *testing.T, keys []string) map[string][]byte {
 	t.Helper()
 	_, ts := newTestServer(t, Config{})
-	ref := make(map[string][]byte, len(peerKeys))
-	for _, body := range peerKeys {
+	ref := make(map[string][]byte, len(keys))
+	for _, body := range keys {
 		status, _, b := post(t, ts.URL+"/v1/sweep", body)
 		if status != http.StatusOK {
 			t.Fatalf("reference %s: status %d: %s", body, status, b)
@@ -101,7 +101,7 @@ func (f *fleet) sweepEvals() int64 {
 // cache coalesces its own requests with every forward), and every
 // response is byte-identical to the standalone oracle.
 func TestPeerShardingSingleFlight(t *testing.T) {
-	ref := referenceBodies(t)
+	ref := referenceBodies(t, peerKeys)
 	f := newFleet(t, 2, nil, nil)
 
 	var wg sync.WaitGroup
@@ -149,12 +149,13 @@ func TestPeerShardingSingleFlight(t *testing.T) {
 // never listens: every key the dead peer owns must fall back to local
 // evaluation, and every response stays byte-identical to the oracle.
 func TestPeerDeadFallback(t *testing.T) {
-	ref := referenceBodies(t)
 	f := newFleet(t, 2, nil, func(i int) bool { return i == 0 })
 	s, url := f.servers[0], f.urls[0]
+	keys := ownerSplitKeys(t, s)
+	ref := referenceBodies(t, keys)
 
 	remoteOwned := 0
-	for _, body := range peerKeys {
+	for _, body := range keys {
 		req := decodeSweepForTest(t, body)
 		if s.peers.owner(req.key()) != s.peers.self {
 			remoteOwned++
@@ -172,6 +173,32 @@ func TestPeerDeadFallback(t *testing.T) {
 	}
 	if got := s.Metrics().Counter("serve.peer.fallbacks").Value(); got != int64(remoteOwned) {
 		t.Errorf("serve.peer.fallbacks = %d, want %d (one per dead-owned key)", got, remoteOwned)
+	}
+}
+
+// ownerSplitKeys returns peerKeys plus generated delta sweep bodies,
+// extended until the built ring assigns at least one key to s and one
+// to another peer. The fleet listens on random ports and the ring
+// hashes their URLs, so a fixed key list can land wholly on one node.
+func ownerSplitKeys(t *testing.T, s *Server) []string {
+	t.Helper()
+	keys := append([]string(nil), peerKeys...)
+	for i := 0; ; i++ {
+		local, remote := false, false
+		for _, body := range keys {
+			if s.peers.owner(decodeSweepForTest(t, body).key()) == s.peers.self {
+				local = true
+			} else {
+				remote = true
+			}
+		}
+		if local && remote {
+			return keys
+		}
+		if i == 256 {
+			t.Fatalf("no key split across the ring after %d candidates", i)
+		}
+		keys = append(keys, fmt.Sprintf(`{"kind":"delta","deltas":[1.%03d]}`, i+1))
 	}
 }
 
@@ -250,7 +277,7 @@ func corruptBody(resp *http.Response, mutate func([]byte) []byte) *http.Response
 // single-flight must hold: no node evaluates a key more than once, so
 // local evaluations per node never exceed the distinct key count.
 func TestPeerFaultInjection(t *testing.T) {
-	ref := referenceBodies(t)
+	ref := referenceBodies(t, peerKeys)
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			f := newFleet(t, 2,

@@ -182,7 +182,10 @@ func TestGroupEndpoints(t *testing.T) {
 // routed systolic block. Both depend on each endpoint's launch class,
 // read off the root of its from[] chain; the values were recorded with
 // a separate class-propagating pass, so the root lookup is checked
-// against an independent implementation.
+// against an independent implementation. The routed row's worst-arrival
+// bits were re-recorded when the router changed from driver stars to
+// trees; its group counts and worst endpoints kept their recorded
+// values.
 func TestLaunchClassGolden(t *testing.T) {
 	p, lib := libs(t)
 	_, routed, routedWM, _ := routedFixture(t, 2, 2)
@@ -211,8 +214,8 @@ func TestLaunchClassGolden(t *testing.T) {
 			"2 0 0x3dc055979df582ee o0_of_7/D"},
 		{"routed", routed, routedWM,
 			[]string{
-				"in2reg 24 0x3dc88f4b38c396c9 cs_pe_r0c1_wr2_320/D",
-				"reg2reg 92 0x3e1f0dca54205391 cs_pe_r1c0_pr11_688/D",
+				"in2reg 24 0x3dc830eeb34038e6 cs_pe_r0c1_wr2_320/D",
+				"reg2reg 92 0x3e168b7f1c60fcc9 cs_pe_r1c0_pr11_688/D",
 			},
 			"56 0 0x3dacc71baf0301f0 cs_ps_out_c0_1_of_880/D"},
 	} {
