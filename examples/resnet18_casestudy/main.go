@@ -59,7 +59,11 @@ func main() {
 		RRAMCapBits: 2 << 20, GlobalSRAMBits: 64 << 10,
 		Die: cmp.TwoD.Die, Seed: 1,
 	}
-	if _, err := m3d.RunFlow(pdk, spec, m3d.WithGDS(f)); err != nil {
+	res, err := m3d.RunFlow(pdk, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := res.WriteGDS(f); err != nil {
 		log.Fatal(err)
 	}
 	st, err := f.Stat()

@@ -10,13 +10,12 @@
 // It also owns the library's shared run-option surface: every public
 // entry point that fans out (flow.Run/RunMany, analytic.SweepBandwidthCS,
 // the core experiments) accepts the same Option type, so pool width
-// (WithWorkers), cancellation (WithContext), tracing (WithTracer),
-// metrics (WithMetrics) and caller-defined values (WithValue) thread
-// uniformly through the whole stack. When a tracer or registry is
-// attached, Map emits one span per task, maintains pool-width and
-// queue-depth gauges, and counts tasks and errors; the memo cache counts
-// hits and misses. With neither attached the instrumentation is skipped
-// entirely (nil checks only).
+// (WithWorkers), cancellation (WithContext), tracing (WithTracer) and
+// metrics (WithMetrics) thread uniformly through the whole stack. When a
+// tracer or registry is attached, Map emits one span per task, maintains
+// pool-width and queue-depth gauges, and counts tasks and errors; the
+// memo cache counts hits and misses. With neither attached the
+// instrumentation is skipped entirely (nil checks only).
 //
 // Determinism contract: for a fixed input slice and a pure evaluation
 // function, Map returns bit-identical results at every pool width — each
@@ -57,10 +56,9 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Settings is the resolved configuration of one run: pool width, context,
-// observability sinks, and caller-defined values (see WithValue). Build
-// one with Resolve; packages layered on exec (flow, analytic, core) use
-// it to share a single option surface.
+// Settings is the resolved configuration of one run: pool width, context
+// and observability sinks. Build one with Resolve; packages layered on
+// exec (flow, analytic, core) use it to share a single option surface.
 type Settings struct {
 	// Workers is the pool width (≥ 1 after Resolve).
 	Workers int
@@ -72,25 +70,6 @@ type Settings struct {
 	Metrics *obs.Registry
 	// Label names Map's per-task spans ("exec.task" when empty).
 	Label string
-
-	vals map[any]any
-}
-
-// SetValue attaches a caller-defined key/value (keys follow the
-// context.Value convention: unexported struct types).
-func (s *Settings) SetValue(key, val any) {
-	if s.vals == nil {
-		s.vals = make(map[any]any)
-	}
-	s.vals[key] = val
-}
-
-// Value returns the value attached under key, or nil.
-func (s *Settings) Value(key any) any {
-	if s == nil {
-		return nil
-	}
-	return s.vals[key]
 }
 
 // instrument returns ctx carrying the settings' tracer and registry so
@@ -139,13 +118,6 @@ func WithLabel(name string) Option {
 	return func(s *Settings) { s.Label = name }
 }
 
-// WithValue attaches a caller-defined key/value to the settings; layered
-// packages use this to extend the shared option surface (e.g. flow's
-// export-sink options) without exec knowing their types.
-func WithValue(key, val any) Option {
-	return func(s *Settings) { s.SetValue(key, val) }
-}
-
 // Resolve applies opts over defaults: background context, DefaultWorkers
 // width, and — when no explicit sink was given — the tracer/registry
 // carried by the resolved context (so context-first callers need no
@@ -185,7 +157,7 @@ func Map[T, R any](items []T, fn func(ctx context.Context, idx int, item T) (R, 
 }
 
 // MapWith is Map with pre-resolved settings; layered packages that need
-// the settings themselves (memo counters, sink options) resolve once and
+// the settings themselves (memo counters, labels) resolve once and
 // share.
 func MapWith[T, R any](st *Settings, items []T, fn func(ctx context.Context, idx int, item T) (R, error)) ([]R, error) {
 	n := len(items)
@@ -314,4 +286,3 @@ func GridWith[A, B, R any](st *Settings, as []A, bs []B, fn func(ctx context.Con
 		return fn(ctx, as[k/nb], bs[k%nb])
 	})
 }
-

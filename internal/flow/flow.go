@@ -2,20 +2,21 @@
 // over the in-repo EDA substrate: synthesis (structural elaboration),
 // floorplanning with style-dependent RRAM macro blockages, placement,
 // 3D global routing, post-route drive optimization, static timing, power
-// analysis, and GDS export. Running the flow twice — once with 2D-style
-// banks (Si access FETs) and once with M3D-style banks on the same die —
-// reproduces the paper's Sec. II physical-design case study.
+// and thermal analysis, and sign-off. Running the flow twice — once with
+// 2D-style banks (Si access FETs) and once with M3D-style banks on the
+// same die — reproduces the paper's Sec. II physical-design case study.
 //
-// API shape: RunContext/RunManyContext are the context-first entry
-// points; Run/RunMany are thin wrappers over context.Background(). All
-// of them accept the shared exec.Option surface (m3d.Option):
-// WithWorkers, WithContext, WithTracer, WithMetrics, plus this package's
-// export-sink options (WithGDS, WithVerilog, WithDEF, WithSinksAt).
-// When a tracer is attached, every run emits one "flow.<stage>" span per
-// stage — synth, floorplan, place, cts, route, sta, power, gds (skipped
-// stages carry skipped="true") — under a "flow.run" root span; a metrics
-// registry additionally collects per-stage wall-time histograms
-// ("flow.stage.seconds.<stage>").
+// API shape: a run is a pure spec → *Result function. RunContext and
+// RunManyContext are the context-first entry points; Run/RunMany are
+// thin wrappers over context.Background(). All of them accept the shared
+// exec.Option surface (m3d.Option): WithWorkers, WithContext,
+// WithTracer, WithMetrics. The hand-off exports (WriteGDS, WriteVerilog,
+// WriteDEF) and the Eq. 17 thermal check (CheckThermal) are reads of the
+// returned Result. When a tracer is attached, every run emits one
+// "flow.<stage>" span per stage — synth, floorplan, place, cts, route,
+// sta, power, signoff (skipped stages carry skipped="true") — under a
+// "flow.run" root span; a metrics registry additionally collects
+// per-stage wall-time histograms ("flow.stage.seconds.<stage>").
 //
 // The stages of one run execute serially. Parallelism lives across
 // independent flows: WithWorkers sets the width of RunMany's pool and of
@@ -23,8 +24,8 @@
 //
 // Error contract: invalid specs fail with an error matching
 // errs.ErrBadSpec; cancellation surfaces as errs.ErrCanceled (also
-// matching the context sentinel); the optional WithThermalCheck sign-off
-// fails with errs.ErrThermalLimit.
+// matching the context sentinel); Result.CheckThermal fails with
+// errs.ErrThermalLimit.
 package flow
 
 import (
@@ -156,116 +157,6 @@ func (s SoCSpec) Validate() error {
 	return nil
 }
 
-// Sinks bundles the flow's export writers. Nil writers skip the export.
-type Sinks struct {
-	GDS, Verilog, DEF io.Writer
-}
-
-func (s Sinks) empty() bool { return s.GDS == nil && s.Verilog == nil && s.DEF == nil }
-
-// merge overlays over on s: non-nil writers in over win.
-func (s Sinks) merge(over Sinks) Sinks {
-	if over.GDS != nil {
-		s.GDS = over.GDS
-	}
-	if over.Verilog != nil {
-		s.Verilog = over.Verilog
-	}
-	if over.DEF != nil {
-		s.DEF = over.DEF
-	}
-	return s
-}
-
-func teeWriter(a, b io.Writer) io.Writer {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return io.MultiWriter(a, b)
-	}
-}
-
-// tee combines two sink sets so each export reaches both writers — used
-// where RunMany's per-index sinks meet the single-run sinks of spec 0, so
-// neither silently loses the export.
-func (s Sinks) tee(o Sinks) Sinks {
-	return Sinks{
-		GDS:     teeWriter(s.GDS, o.GDS),
-		Verilog: teeWriter(s.Verilog, o.Verilog),
-		DEF:     teeWriter(s.DEF, o.DEF),
-	}
-}
-
-type sinksKey struct{}
-
-type sinksAtKey struct{}
-
-type thermalKey struct{}
-
-func sinksOf(st *exec.Settings) Sinks {
-	s, _ := st.Value(sinksKey{}).(Sinks)
-	return s
-}
-
-func mutateSinks(st *exec.Settings, f func(*Sinks)) {
-	s, _ := st.Value(sinksKey{}).(Sinks)
-	f(&s)
-	st.SetValue(sinksKey{}, s)
-}
-
-// WithSinks attaches export writers to a Run/RunContext call (in
-// RunMany it applies to spec index 0).
-func WithSinks(s Sinks) exec.Option {
-	return func(st *exec.Settings) {
-		mutateSinks(st, func(dst *Sinks) { *dst = dst.merge(s) })
-	}
-}
-
-// WithGDS streams the final layout of the run (RunMany: of spec 0) to w.
-func WithGDS(w io.Writer) exec.Option {
-	return func(st *exec.Settings) { mutateSinks(st, func(s *Sinks) { s.GDS = w }) }
-}
-
-// WithVerilog streams the synthesized structural netlist to w.
-func WithVerilog(w io.Writer) exec.Option {
-	return func(st *exec.Settings) { mutateSinks(st, func(s *Sinks) { s.Verilog = w }) }
-}
-
-// WithDEF streams the final placement DEF to w.
-func WithDEF(w io.Writer) exec.Option {
-	return func(st *exec.Settings) { mutateSinks(st, func(s *Sinks) { s.DEF = w }) }
-}
-
-// WithSinksAt attaches export writers to the i-th spec of a
-// RunMany/RunManyContext call. Because specs stay pure values, the run
-// itself is still memoized; only the exports are per-index side effects.
-func WithSinksAt(i int, s Sinks) exec.Option {
-	return func(st *exec.Settings) {
-		m, _ := st.Value(sinksAtKey{}).(map[int]Sinks)
-		if m == nil {
-			m = make(map[int]Sinks)
-			st.SetValue(sinksAtKey{}, m)
-		}
-		m[i] = m[i].merge(s)
-	}
-}
-
-func sinksAt(st *exec.Settings) map[int]Sinks {
-	m, _ := st.Value(sinksAtKey{}).(map[int]Sinks)
-	return m
-}
-
-// WithThermalCheck adds an Eq. 17 thermal sign-off after power analysis:
-// the run fails with an error matching errs.ErrThermalLimit when the
-// stack's temperature rise exceeds maxRiseK (≤ 0 selects the PDK's
-// MaxTempRiseK budget).
-func WithThermalCheck(maxRiseK float64) exec.Option {
-	return func(st *exec.Settings) { st.SetValue(thermalKey{}, maxRiseK) }
-}
-
 // AreaReport carries the measured area decomposition (feeds Eq. 2).
 type AreaReport struct {
 	// CSNM2 is the standard-cell area of one computing sub-system.
@@ -279,10 +170,9 @@ type AreaReport struct {
 }
 
 // Result is the flow output for one SoC. It retains the design database
-// (netlist, routes, PDK), so exports can be replayed any time via
-// WriteGDS/WriteVerilog/WriteDEF — which is how RunMany shares one
-// memoized Result among duplicate specs while still filling every
-// caller's sinks.
+// (netlist, routes, PDK), so the hand-off files are written from it any
+// time via WriteGDS/WriteVerilog/WriteDEF — which is also how RunMany's
+// duplicate specs, sharing one memoized Result, each get their exports.
 type Result struct {
 	Spec SoCSpec
 	Die  geom.Rect
@@ -312,9 +202,13 @@ type Result struct {
 	IRDrop *irdrop.Report
 
 	Power *power.Breakdown
-	Area  AreaReport
+	// TempRiseK is the Eq. 17 temperature rise of the two-tier stack:
+	// the Si CMOS logic below, the BEOL memory/CNFET tiers above.
+	TempRiseK float64
+	Area      AreaReport
 
-	// Design database handles for export replay (read-only after the run).
+	// Design database handles for the exports, the thermal budget and
+	// Design (read-only after the run).
 	pdk    *tech.PDK
 	nl     *netlist.Netlist
 	routes *route.Result
@@ -370,22 +264,16 @@ func (r *Result) WriteGDS(w io.Writer) error {
 	return nil
 }
 
-// export writes every non-nil sink.
-func (r *Result) export(s Sinks) error {
-	if s.Verilog != nil {
-		if err := r.WriteVerilog(s.Verilog); err != nil {
-			return err
-		}
+// CheckThermal is the Eq. 17 thermal sign-off: it fails with an error
+// matching errs.ErrThermalLimit when TempRiseK exceeds maxRiseK (≤ 0
+// selects the PDK's MaxTempRiseK budget).
+func (r *Result) CheckThermal(maxRiseK float64) error {
+	if maxRiseK <= 0 {
+		maxRiseK = r.pdk.MaxTempRiseK
 	}
-	if s.DEF != nil {
-		if err := r.WriteDEF(s.DEF); err != nil {
-			return err
-		}
-	}
-	if s.GDS != nil {
-		if err := r.WriteGDS(s.GDS); err != nil {
-			return err
-		}
+	if r.TempRiseK > maxRiseK {
+		return fmt.Errorf("flow: temperature rise %.1f K exceeds %.1f K budget: %w",
+			r.TempRiseK, maxRiseK, errs.ErrThermalLimit)
 	}
 	return nil
 }
@@ -468,8 +356,7 @@ func RunContext(ctx context.Context, p *tech.PDK, spec SoCSpec, opts ...exec.Opt
 	return runWith(st.Ctx, st, p, spec)
 }
 
-// runWith is the flow body: prepare, then finish. Sinks come from the
-// settings (options); the spec itself is a pure value.
+// runWith is the flow body: prepare, then finish.
 func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) (*Result, error) {
 	run, err := prepare(ctx, st, p, spec)
 	if err != nil {
@@ -485,7 +372,6 @@ func runWith(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 type prepared struct {
 	p            *tech.PDK
 	spec         SoCSpec
-	sinks        Sinks
 	tr           stageTrace
 	root         obs.Span // the run's "flow.run" span; finish ends it
 	siLib, cnLib *cell.Library
@@ -498,7 +384,6 @@ type prepared struct {
 // prepare runs synthesis and the floorplan/global-place stage.
 func prepare(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) (_ *prepared, err error) {
 	spec = spec.withDefaults()
-	sinks := sinksOf(st)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -630,13 +515,13 @@ func prepare(ctx context.Context, st *exec.Settings, p *tech.PDK, spec SoCSpec) 
 	}
 	endFloorplan()
 	return &prepared{
-		p: p, spec: spec, sinks: sinks, tr: tr, root: root,
+		p: p, spec: spec, tr: tr, root: root,
 		siLib: siLib, cnLib: cnLib, parts: parts, fp: fp, die: die, tiers: tiers,
 	}, nil
 }
 
 // finish runs the stages after floorplanning — refinement, CTS, route,
-// STA, power, sign-off and export — and ends the run's root span.
+// STA, power and sign-off — and ends the run's root span.
 func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, error) {
 	if r.root != nil {
 		defer r.root.End()
@@ -737,22 +622,12 @@ func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, erro
 		return nil, fmt.Errorf("flow: power: %w", err)
 	}
 
-	// 6b. Optional Eq. 17 thermal sign-off: lower tier is the Si CMOS
+	// 6b. Eq. 17 stack temperature rise: lower tier is the Si CMOS
 	// logic, the BEOL memory/CNFET tiers stack above it.
-	if v, ok := st.Value(thermalKey{}).(float64); ok {
-		budget := v
-		if budget <= 0 {
-			budget = p.MaxTempRiseK
-		}
-		stack := thermal.NewStack(p, []float64{
-			pw.ByTier[tech.TierSiCMOS],
-			pw.ByTier[tech.TierRRAM] + pw.ByTier[tech.TierCNFET],
-		})
-		if rise := stack.TempRiseK(); rise > budget {
-			return nil, fmt.Errorf("flow: temperature rise %.1f K exceeds %.1f K budget: %w",
-				rise, budget, errs.ErrThermalLimit)
-		}
-	}
+	rise := thermal.NewStack(p, []float64{
+		pw.ByTier[tech.TierSiCMOS],
+		pw.ByTier[tech.TierRRAM] + pw.ByTier[tech.TierCNFET],
+	}).TempRiseK()
 
 	// 7. Area decomposition for the analytical framework.
 	var cellsArea, perifArea int64
@@ -787,6 +662,7 @@ func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, erro
 		Hold:          hold,
 		CTS:           ctsRep,
 		Power:         pw,
+		TempRiseK:     rise,
 		Area:          area,
 		pdk:           p,
 		nl:            nl,
@@ -807,18 +683,6 @@ func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, erro
 	}
 	res.Audit = audit
 	res.IRDrop = ir
-
-	// 8. Interchange exports.
-	if r.sinks.empty() {
-		tr.skip("gds")
-	} else {
-		endGDS := tr.start("gds")
-		err := res.export(r.sinks)
-		endGDS()
-		if err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
@@ -826,8 +690,7 @@ func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, erro
 // baseline (1 CS, 2D-style banks) sized automatically, then the M3D design
 // (numCS CSs, M3D-style banks, numCS× banks) on the identical die —
 // iso-footprint, iso-on-chip-memory-capacity by construction. Options
-// (context, tracer, metrics) apply to both runs; export sinks are not
-// forwarded.
+// (context, tracer, metrics) apply to both runs.
 //
 // The M3D run needs only the 2D die, which is final once the 2D
 // floorplan stage ends. So the rest of the 2D run and the whole M3D run
@@ -836,7 +699,6 @@ func (r *prepared) finish(ctx context.Context, st *exec.Settings) (*Result, erro
 // either way. A failing task cancels the other.
 func CaseStudy(p *tech.PDK, scale SoCSpec, numCS int, opts ...exec.Option) (twoD, m3d *Result, err error) {
 	st := exec.Resolve(opts...)
-	st.SetValue(sinksKey{}, Sinks{}) // sinks are per-run, not per-pair
 	scale = scale.withDefaults()
 
 	spec2 := scale

@@ -17,7 +17,7 @@ import (
 // Fig. 4b flow, then the enclosing root span.
 var flowStageNames = []string{
 	"flow.synth", "flow.floorplan", "flow.place", "flow.cts", "flow.route",
-	"flow.sta", "flow.power", "flow.signoff", "flow.gds", "flow.run",
+	"flow.sta", "flow.power", "flow.signoff", "flow.run",
 }
 
 // TestRunFlowStageSpans asserts the tentpole's span contract: one span
@@ -41,9 +41,9 @@ func TestRunFlowStageSpans(t *testing.T) {
 	if root.Attr("style") != "2D" || root.Attr("cs") != "1" {
 		t.Errorf("root attrs = %v", root.Attrs)
 	}
-	// No CTS and no export sinks in this spec: both stages must still
-	// appear, flagged skipped, with no work inside (sub-millisecond span).
-	for _, name := range []string{"flow.cts", "flow.gds"} {
+	// No CTS in this spec: the stage must still appear, flagged skipped,
+	// with no work inside (sub-millisecond span).
+	for _, name := range []string{"flow.cts"} {
 		sp := rec.Find(name)[0]
 		if sp.Attr("skipped") != "true" || sp.Dur() >= time.Millisecond {
 			t.Errorf("%s: skipped=%q dur=%v, want flagged near-zero span", name, sp.Attr("skipped"), sp.Dur())
@@ -145,16 +145,21 @@ func TestRunBadSpec(t *testing.T) {
 	}
 }
 
-// TestWithThermalCheck: the opt-in Eq. 17 sign-off fails a run whose
-// stack exceeds the budget (and passes an unbounded one).
-func TestWithThermalCheck(t *testing.T) {
+// TestCheckThermal: every run records its Eq. 17 stack rise, and the
+// sign-off fails a budget the stack exceeds (and passes an unbounded one).
+func TestCheckThermal(t *testing.T) {
 	p := tech.Default130()
-	spec := runManySpecs()[0]
-	_, err := Run(p, spec, WithThermalCheck(1e-9))
-	if !errors.Is(err, errs.ErrThermalLimit) {
+	res, err := Run(p, runManySpecs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TempRiseK <= 0 {
+		t.Fatalf("TempRiseK = %g, want a positive rise", res.TempRiseK)
+	}
+	if err := res.CheckThermal(1e-9); !errors.Is(err, errs.ErrThermalLimit) {
 		t.Fatalf("error %v does not match errs.ErrThermalLimit", err)
 	}
-	if _, err := Run(p, spec, WithThermalCheck(1e9)); err != nil {
+	if err := res.CheckThermal(1e9); err != nil {
 		t.Fatalf("generous budget failed: %v", err)
 	}
 }

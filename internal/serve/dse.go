@@ -108,28 +108,16 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 	}
 	s.reg.Counter("serve.dse.requests").Add(1)
 
-	opt := dse.Options{
-		MaxEvals:       req.MaxEvals,
-		Seed:           req.Seed,
-		Explore:        req.Explore,
-		RequireThermal: req.RequireThermal,
-		Cache:          &s.dsePoints,
-	}
 	// The stream opens lazily at the first settled round: anything that
 	// fails before then (bad machine, immediate cancellation) still owns
 	// the status line.
 	var st *arrayStream
-	var final dse.Update
-	_, err = dse.Explore(s.pdk, req.space(), opt, func(u dse.Update) {
-		if u.Done {
-			final = u // held back: promotions ride on the final element
-			return
-		}
+	out, err := s.exploreDSE(ctx, req, func(u dse.Update) {
 		if st == nil {
 			st = newArrayStream(w)
 		}
 		st.emit(DSEUpdate{Update: u})
-	}, s.evalOptions(ctx)...)
+	})
 	if err != nil {
 		if st == nil {
 			return err
@@ -137,11 +125,6 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 		st.emit(DSEUpdate{Error: err.Error()})
 		st.close()
 		return nil
-	}
-
-	out := DSEUpdate{Update: final}
-	for _, p := range dse.TopK(final.Frontier, req.Promote) {
-		out.Promoted = append(out.Promoted, s.promote(ctx, req, p))
 	}
 	if st == nil {
 		st = newArrayStream(w)
@@ -152,6 +135,37 @@ func (s *Server) handleDSE(ctx context.Context, w http.ResponseWriter, r *http.R
 	st.emit(out)
 	st.close()
 	return nil
+}
+
+// exploreDSE runs one request's exploration over the server-wide point
+// cache, handing every settled round but the last to emit (nil drops
+// them), and returns the final round with its top frontier points
+// promoted through the flow. /v1/dse and the dse job's explore stage
+// share it.
+func (s *Server) exploreDSE(ctx context.Context, req *DSERequest, emit func(dse.Update)) (DSEUpdate, error) {
+	opt := dse.Options{
+		MaxEvals:       req.MaxEvals,
+		Seed:           req.Seed,
+		Explore:        req.Explore,
+		RequireThermal: req.RequireThermal,
+		Cache:          &s.dsePoints,
+	}
+	var final dse.Update
+	_, err := dse.Explore(s.pdk, req.space(), opt, func(u dse.Update) {
+		if u.Done {
+			final = u // held back: promotions ride on the final element
+		} else if emit != nil {
+			emit(u)
+		}
+	}, s.evalOptions(ctx)...)
+	if err != nil {
+		return DSEUpdate{}, err
+	}
+	out := DSEUpdate{Update: final}
+	for _, p := range dse.TopK(final.Frontier, req.Promote) {
+		out.Promoted = append(out.Promoted, s.promote(ctx, req, p))
+	}
+	return out, nil
 }
 
 // promote runs one frontier point through the physical flow via the

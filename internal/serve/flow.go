@@ -10,27 +10,46 @@ import (
 	"m3d/internal/macro"
 )
 
+// Upper bounds on the design one flow request may ask for, so that a
+// single /v1/flow, /v1/yield, job or batch item cannot demand unbounded
+// work. Each admits the paper's case study (16×16 arrays, 8 CS, 64 MB
+// RRAM, the default 4 Mbit global SRAM); the array side is capped at the
+// paper's, and the others leave headroom for exploration.
+const (
+	maxFlowArraySide      = 16
+	maxFlowNumCS          = 16
+	maxFlowBanks          = 64
+	maxFlowRRAMCapMB      = 256
+	maxFlowGlobalSRAMBits = 32 << 20
+)
+
 // FlowRequest is the POST /v1/flow body: one RTL-to-GDS run, evaluated
 // through flow.RunContext (m3d.RunFlowContext) under the request
 // deadline. Zero fields take the SoCSpec defaults (paper scale — pass
-// small arrays for interactive latency).
+// small arrays for interactive latency). Sizes above the per-request
+// bounds noted on each field fail with 400 (errs.ErrBadSpec).
 type FlowRequest struct {
 	// Style is "2D" (Si access FETs) or "M3D" (CNFET access FETs over
 	// logic); empty selects "2D".
-	Style          string  `json:"style,omitempty"`
-	NumCS          int     `json:"num_cs,omitempty"`
-	ArrayRows      int     `json:"array_rows,omitempty"`
-	ArrayCols      int     `json:"array_cols,omitempty"`
-	RRAMCapMB      int     `json:"rram_cap_mb,omitempty"`
-	Banks          int     `json:"banks,omitempty"`
+	Style string `json:"style,omitempty"`
+	// NumCS is at most 16 (maxFlowNumCS).
+	NumCS int `json:"num_cs,omitempty"`
+	// ArrayRows and ArrayCols are at most 16 (maxFlowArraySide).
+	ArrayRows int `json:"array_rows,omitempty"`
+	ArrayCols int `json:"array_cols,omitempty"`
+	// RRAMCapMB is at most 256 (maxFlowRRAMCapMB).
+	RRAMCapMB int `json:"rram_cap_mb,omitempty"`
+	// Banks is at most 64 (maxFlowBanks).
+	Banks int `json:"banks,omitempty"`
+	// GlobalSRAMBits is at most 32 Mbit (maxFlowGlobalSRAMBits).
 	GlobalSRAMBits int64   `json:"global_sram_bits,omitempty"`
 	TargetClockHz  float64 `json:"target_clock_hz,omitempty"`
 	Seed           int64   `json:"seed,omitempty"`
 	FoldLogic      bool    `json:"fold_logic,omitempty"`
 	RunCTS         bool    `json:"run_cts,omitempty"`
-	// ThermalCheck enables the Eq. 17 sign-off stage; violations fail
-	// with 422 (errs.ErrThermalLimit). MaxTempRiseK ≤ 0 uses the PDK
-	// budget.
+	// ThermalCheck applies the Eq. 17 sign-off to the run's result;
+	// violations fail with 422 (errs.ErrThermalLimit). MaxTempRiseK ≤ 0
+	// uses the PDK budget.
 	ThermalCheck bool    `json:"thermal_check,omitempty"`
 	MaxTempRiseK float64 `json:"max_temp_rise_k,omitempty"`
 }
@@ -53,6 +72,8 @@ type FlowResponse struct {
 	LeakagePowerW float64 `json:"leakage_power_w"`
 }
 
+// spec derives the validated flow spec of the request; violations match
+// errs.ErrBadSpec.
 func (q *FlowRequest) spec() (flow.SoCSpec, error) {
 	spec := flow.SoCSpec{
 		NumCS:          q.NumCS,
@@ -75,23 +96,50 @@ func (q *FlowRequest) spec() (flow.SoCSpec, error) {
 		return spec, badSpec("unknown style %q (want %q or %q)",
 			q.Style, macro.Style2D, macro.Style3D)
 	}
-	if q.RRAMCapMB < 0 {
-		return spec, badSpec("rram_cap_mb %d must be ≥ 0", q.RRAMCapMB)
-	}
-	if !q.ThermalCheck && q.MaxTempRiseK != 0 {
+	switch {
+	case q.RRAMCapMB < 0 || q.RRAMCapMB > maxFlowRRAMCapMB:
+		return spec, badSpec("rram_cap_mb %d outside [0, %d]", q.RRAMCapMB, maxFlowRRAMCapMB)
+	case q.NumCS > maxFlowNumCS:
+		return spec, badSpec("num_cs %d exceeds the per-request limit %d", q.NumCS, maxFlowNumCS)
+	case q.ArrayRows > maxFlowArraySide || q.ArrayCols > maxFlowArraySide:
+		return spec, badSpec("array %dx%d exceeds the per-request limit %dx%d",
+			q.ArrayRows, q.ArrayCols, maxFlowArraySide, maxFlowArraySide)
+	case q.Banks > maxFlowBanks:
+		return spec, badSpec("banks %d exceeds the per-request limit %d", q.Banks, maxFlowBanks)
+	case q.GlobalSRAMBits > maxFlowGlobalSRAMBits:
+		return spec, badSpec("global_sram_bits %d exceeds the per-request limit %d",
+			q.GlobalSRAMBits, maxFlowGlobalSRAMBits)
+	case !q.ThermalCheck && q.MaxTempRiseK != 0:
 		return spec, badSpec("max_temp_rise_k needs thermal_check")
 	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 // validate checks the request shape through the spec derivation — the
 // decodeRequest contract shared with the other endpoints.
 func (q *FlowRequest) validate() error {
+	_, err := q.spec()
+	return err
+}
+
+// runFlow evaluates one request's flow and applies its thermal check to
+// the result; /v1/flow and the flow job's eval stage share it.
+func (s *Server) runFlow(ctx context.Context, q *FlowRequest) (*flow.Result, error) {
 	spec, err := q.spec()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return spec.Validate()
+	s.reg.Counter("serve.flow.evals").Add(1)
+	res, err := flow.RunContext(ctx, s.pdk, spec, s.evalOptions(ctx)...)
+	if err != nil {
+		return nil, err
+	}
+	if q.ThermalCheck {
+		if err := res.CheckThermal(q.MaxTempRiseK); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // key is the coalescing identity of a flow request (canonical JSON).
@@ -119,42 +167,20 @@ func (s *Server) handleFlow(ctx context.Context, w http.ResponseWriter, r *http.
 // coalescing cache; /v1/flow bodies and /v1/batch flow items share this
 // path.
 func (s *Server) flowCached(ctx context.Context, req *FlowRequest) (*FlowResponse, error) {
-	spec, err := req.spec()
-	if err != nil {
+	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	hits := s.reg.Counter("serve.memo.hits")
-	misses := s.reg.Counter("serve.memo.misses")
 	key := req.key()
-	cached, err := s.flows.DoMetered(key, hits, misses, func() (*FlowResponse, error) {
-		if s.evalStarted != nil {
-			s.evalStarted()
-		}
-		if s.evalBlock != nil {
-			s.evalBlock(ctx)
-		}
+	return coalesce(ctx, s, &s.flows, key, "serve.memo", func() (*FlowResponse, error) {
 		// Fleet sharding: forward to the key's owner, local fallback on
 		// failure (see peers.go).
 		if out, handled, err := peerFetch[FlowResponse](ctx, s.peers, "/v1/flow", key, peerBody(key, "flow:")); handled {
 			return out, err
 		}
-		s.reg.Counter("serve.flow.evals").Add(1)
-		opts := s.evalOptions(ctx)
-		if req.ThermalCheck {
-			opts = append(opts, flow.WithThermalCheck(req.MaxTempRiseK))
-		}
-		res, err := flow.RunContext(ctx, s.pdk, spec, opts...)
+		res, err := s.runFlow(ctx, req)
 		if err != nil {
 			return nil, err
 		}
 		return flowResponseOf(res), nil
 	})
-	if err != nil {
-		s.flows.Forget(key)
-		return nil, err
-	}
-	return cached, nil
 }

@@ -113,15 +113,16 @@ func FuzzDSERequest(f *testing.F) {
 // validator with arbitrary bodies through the same decodeRequest entry
 // the handler uses. Contract: no panics; every rejection is
 // errs.ErrBadSpec (the 400 family); an accepted request names exactly
-// one kind, canonicalizes through json.Marshal, and — for chunked
-// sweeps — splits into chunks whose concatenation reproduces the
-// primary axis exactly (the invariant the part/final stages rely on
-// for byte-identical resumed results).
+// one kind, canonicalizes through json.Marshal, stays within the flow
+// work bounds, and — for chunked sweeps — splits into chunks whose
+// concatenation reproduces the primary axis exactly (the invariant the
+// part/final stages rely on for byte-identical resumed results).
 //
 // Seeds live in testdata/fuzz/FuzzJobsRequest (checked in): each job
 // kind, explicit ids and chunk counts, and the hostile shapes —
 // truncated JSON, trailing garbage, multiple kinds, path-escaping ids,
-// out-of-range chunk counts and chunks on non-sweep jobs.
+// out-of-range chunk counts, chunks on non-sweep jobs, and flow sizes at
+// the work bounds and one past each.
 func FuzzJobsRequest(f *testing.F) {
 	f.Add(`{"sweep":{"kind":"delta","deltas":[1.0,1.5,2.0]}}`)
 	f.Add(`{"id":"swjob","sweep":{"kind":"delta","deltas":[1.0,1.5,2.0,2.5]},"chunks":2}`)
@@ -163,6 +164,9 @@ func FuzzJobsRequest(f *testing.F) {
 		var round JobRequest
 		if err := json.Unmarshal(canon, &round); err != nil {
 			t.Fatalf("canonical form does not round-trip: %v", err)
+		}
+		if req.Flow != nil {
+			requireFlowBounded(t, req.Flow)
 		}
 		if req.Sweep == nil {
 			return
@@ -260,14 +264,15 @@ func FuzzBatchRequest(f *testing.F) {
 // FuzzYieldRequest hammers the POST /v1/yield request decoder and
 // validator with arbitrary bodies through the same decodeRequest entry
 // the handler uses. Contract: no panics, every rejection is
-// errs.ErrBadSpec (the 400 family), and an accepted request's
-// defaults-applied run shape stays within the sampling bounds and
-// builds a valid corner sampler.
+// errs.ErrBadSpec (the 400 family), and an accepted request's design
+// stays within the flow work bounds and its defaults-applied run shape
+// within the sampling bounds, building a valid corner sampler.
 //
 // Seeds live in testdata/fuzz/FuzzYieldRequest (checked in): the pinned
 // stream request, the empty default, each knob alone, and the hostile
 // shapes — truncated JSON, trailing garbage, unknown fields, hostile
-// variation parameters, oversized sample counts and bad periods.
+// variation parameters, oversized sample counts, bad periods, and flow
+// sizes at the work bounds and one past each.
 func FuzzYieldRequest(f *testing.F) {
 	f.Add(yieldStreamBody)
 	f.Add(``)
@@ -299,6 +304,7 @@ func FuzzYieldRequest(f *testing.F) {
 			}
 			return
 		}
+		requireFlowBounded(t, &req.Flow)
 		n, b := req.samples(), req.batch()
 		if n < 1 || n > maxYieldSamples {
 			t.Fatalf("accepted request's sample count %d out of bounds", n)
@@ -314,4 +320,14 @@ func FuzzYieldRequest(f *testing.F) {
 			t.Fatalf("accepted request's variation rejected by sampler: %v", err)
 		}
 	})
+}
+
+// requireFlowBounded fails when an accepted flow request exceeds one of
+// the per-request work bounds.
+func requireFlowBounded(t *testing.T, q *FlowRequest) {
+	t.Helper()
+	if q.NumCS > maxFlowNumCS || q.ArrayRows > maxFlowArraySide || q.ArrayCols > maxFlowArraySide ||
+		q.Banks > maxFlowBanks || q.RRAMCapMB > maxFlowRRAMCapMB || q.GlobalSRAMBits > maxFlowGlobalSRAMBits {
+		t.Fatalf("accepted flow request exceeds the work bounds: %+v", *q)
+	}
 }

@@ -406,13 +406,35 @@ func (s *Server) handleMetrics(_ context.Context, w http.ResponseWriter, _ *http
 }
 
 // evalOptions are the exec options every evaluation runs under: the
-// request context (deadline + client cancellation), the server's pool
-// width, and its observability sinks.
+// request or job context (deadline and cancellation), the server's pool
+// width, the stage's tracer (jobTracer: the job's span tracker inside a
+// job, the server tracer otherwise) and the server registry.
 func (s *Server) evalOptions(ctx context.Context) []exec.Option {
 	return []exec.Option{
 		exec.WithContext(ctx),
 		exec.WithWorkers(s.workers),
-		exec.WithTracer(s.tracer),
+		exec.WithTracer(jobTracer(ctx, s)),
 		exec.WithMetrics(s.reg),
 	}
+}
+
+// coalesce evaluates compute at most once per key across concurrent
+// identical requests, through cache. The <counters>.hits/.misses
+// counters account for the cache and the test hooks run at the start of
+// each evaluation. A failed evaluation is forgotten, so a canceled or
+// shed run does not poison every later identical request.
+func coalesce[V any](ctx context.Context, s *Server, cache *exec.Cache[string, V], key, counters string, compute func() (V, error)) (V, error) {
+	v, err := cache.DoMetered(key, s.reg.Counter(counters+".hits"), s.reg.Counter(counters+".misses"), func() (V, error) {
+		if s.evalStarted != nil {
+			s.evalStarted()
+		}
+		if s.evalBlock != nil {
+			s.evalBlock(ctx)
+		}
+		return compute()
+	})
+	if err != nil {
+		cache.Forget(key)
+	}
+	return v, err
 }

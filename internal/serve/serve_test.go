@@ -145,6 +145,37 @@ func TestFlowGolden(t *testing.T) {
 	}
 }
 
+// TestFlowThermalCheck pins the /v1/flow Eq. 17 sign-off: a budget the
+// design exceeds is a 422, a budget it meets leaves the response equal to
+// the unchecked request's, and a flow job over budget ends failed with
+// the thermal error.
+func TestFlowThermalCheck(t *testing.T) {
+	const spec = `"style":"M3D","num_cs":1,"array_rows":2,"array_cols":2,"rram_cap_mb":1,"banks":1,"global_sram_bits":65536,"seed":1`
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	status, _, body := post(t, ts.URL+"/v1/flow", `{`+spec+`,"thermal_check":true,"max_temp_rise_k":1e-9}`)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("tiny budget: status = %d, want 422 (body %s)", status, body)
+	}
+	status, _, plain := post(t, ts.URL+"/v1/flow", `{`+spec+`}`)
+	if status != http.StatusOK {
+		t.Fatalf("unchecked: status = %d, body %s", status, plain)
+	}
+	status, _, checked := post(t, ts.URL+"/v1/flow", `{`+spec+`,"thermal_check":true,"max_temp_rise_k":1e9}`)
+	if status != http.StatusOK {
+		t.Fatalf("huge budget: status = %d, body %s", status, checked)
+	}
+	if !bytes.Equal(checked, plain) {
+		t.Fatalf("checked response differs from unchecked\nchecked: %s\nplain:   %s", checked, plain)
+	}
+
+	st := submitJob(t, ts.URL, `{"id":"hotjob","flow":{`+spec+`,"thermal_check":true,"max_temp_rise_k":1e-9}}`)
+	done := waitJob(t, ts.URL, st.ID, JobStateFailed)
+	if !strings.Contains(done.Error, "m3d: thermal limit exceeded") {
+		t.Fatalf("job error = %q, want the thermal limit error", done.Error)
+	}
+}
+
 // TestStatusMapping pins the sentinel→status-code contract at the wire.
 func TestStatusMapping(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -164,6 +195,14 @@ func TestStatusMapping(t *testing.T) {
 		{"thermal violation", "POST", "/v1/sweep", `{"kind":"tier_pairs","tier_pairs":[8],"per_tier_power_w":50,"require_thermal":true}`, http.StatusUnprocessableEntity},
 		{"flow bad style", "POST", "/v1/flow", `{"style":"4D"}`, http.StatusBadRequest},
 		{"flow bad spec", "POST", "/v1/flow", `{"num_cs":-1}`, http.StatusBadRequest},
+		{"flow num_cs over limit", "POST", "/v1/flow", `{"num_cs":17}`, http.StatusBadRequest},
+		{"flow array_rows over limit", "POST", "/v1/flow", `{"array_rows":17}`, http.StatusBadRequest},
+		{"flow array_cols over limit", "POST", "/v1/flow", `{"array_cols":17}`, http.StatusBadRequest},
+		{"flow banks over limit", "POST", "/v1/flow", `{"banks":65}`, http.StatusBadRequest},
+		{"flow rram_cap_mb over limit", "POST", "/v1/flow", `{"rram_cap_mb":257}`, http.StatusBadRequest},
+		{"flow global_sram_bits over limit", "POST", "/v1/flow", `{"global_sram_bits":33554433}`, http.StatusBadRequest},
+		{"yield flow over limit", "POST", "/v1/yield", `{"flow":{"array_rows":17}}`, http.StatusBadRequest},
+		{"job flow over limit", "POST", "/v1/jobs", `{"flow":{"num_cs":17}}`, http.StatusBadRequest},
 		{"method not allowed", "GET", "/v1/sweep", ``, http.StatusMethodNotAllowed},
 		{"unknown path", "GET", "/v1/nope", ``, http.StatusNotFound},
 	} {
@@ -190,6 +229,23 @@ func TestStatusMapping(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFlowRequestBounds: the per-request work bounds admit the default
+// request, the paper's case study and every field at its limit (the
+// status table and the fuzz seeds pin the rejections one past each).
+func TestFlowRequestBounds(t *testing.T) {
+	for name, q := range map[string]FlowRequest{
+		"default": {},
+		"paper":   {Style: "M3D", NumCS: 8, ArrayRows: 16, ArrayCols: 16, RRAMCapMB: 64, Banks: 8},
+		"limit": {Style: "M3D", NumCS: maxFlowNumCS, ArrayRows: maxFlowArraySide,
+			ArrayCols: maxFlowArraySide, RRAMCapMB: maxFlowRRAMCapMB, Banks: maxFlowBanks,
+			GlobalSRAMBits: maxFlowGlobalSRAMBits},
+	} {
+		if err := q.validate(); err != nil {
+			t.Errorf("%s request rejected: %v", name, err)
+		}
 	}
 }
 

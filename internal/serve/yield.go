@@ -137,26 +137,9 @@ func (s *Server) designCached(ctx context.Context, req *FlowRequest) (*flow.Resu
 	if err != nil {
 		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	hits := s.reg.Counter("serve.design.hits")
-	misses := s.reg.Counter("serve.design.misses")
-	key := "design:" + req.key()
-	res, err := s.designs.DoMetered(key, hits, misses, func() (*flow.Result, error) {
-		if s.evalStarted != nil {
-			s.evalStarted()
-		}
-		if s.evalBlock != nil {
-			s.evalBlock(ctx)
-		}
+	return coalesce(ctx, s, &s.designs, "design:"+req.key(), "serve.design", func() (*flow.Result, error) {
 		return flow.RunContext(ctx, s.pdk, spec, s.evalOptions(ctx)...)
 	})
-	if err != nil {
-		s.designs.Forget(key)
-		return nil, err
-	}
-	return res, nil
 }
 
 // handleYield is POST /v1/yield: Monte-Carlo timing yield over one

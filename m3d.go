@@ -41,8 +41,8 @@ import (
 //   - ErrCanceled: the run was stopped by its context. The error also
 //     matches the underlying context error (context.Canceled or
 //     context.DeadlineExceeded).
-//   - ErrThermalLimit: an opt-in WithThermalCheck sign-off found the
-//     Eq. 17 stack temperature rise above budget.
+//   - ErrThermalLimit: FlowResult.CheckThermal found the Eq. 17 stack
+//     temperature rise above budget.
 //
 // Anything else is an internal stage failure (synthesis, routing, DRC,
 // ...) whose message names the stage.
@@ -51,7 +51,8 @@ var (
 	ErrCanceled = errs.ErrCanceled
 	// ErrBadSpec matches validation failures of specs, loads and axes.
 	ErrBadSpec = errs.ErrBadSpec
-	// ErrThermalLimit matches Eq. 17 thermal sign-off failures.
+	// ErrThermalLimit matches Eq. 17 thermal sign-off failures
+	// (FlowResult.CheckThermal).
 	ErrThermalLimit = errs.ErrThermalLimit
 	// ErrOverloaded matches admission failures: the service's in-flight
 	// and queue capacity are both exhausted (HTTP 429 in the service).
@@ -188,7 +189,9 @@ var (
 type (
 	// SoCSpec describes one RTL-to-GDS flow run.
 	SoCSpec = flow.SoCSpec
-	// FlowResult is the flow's post-route report.
+	// FlowResult is the flow's post-route report. It retains the design,
+	// so the GDS/Verilog/DEF hand-off and the Eq. 17 thermal check are
+	// read off it (WriteGDS, WriteVerilog, WriteDEF, CheckThermal).
 	FlowResult = flow.Result
 	// MacroStyle selects 2D (Si access FETs) vs M3D (CNFET access FETs).
 	MacroStyle = macro.Style
@@ -201,8 +204,10 @@ const (
 )
 
 // RunFlow executes the RTL-to-GDS flow for one SoC spec. Its stages run
-// serially; options control cancellation, observability and export sinks
-// (WithContext, WithTracer, WithMetrics, WithGDS, WithThermalCheck, ...).
+// serially; options control cancellation and observability (WithContext,
+// WithTracer, WithMetrics). The hand-off files and the thermal check are
+// reads of the result: FlowResult.WriteGDS/WriteVerilog/WriteDEF and
+// FlowResult.CheckThermal.
 func RunFlow(p *PDK, spec SoCSpec, opts ...Option) (*FlowResult, error) {
 	return flow.Run(p, spec, opts...)
 }
@@ -221,7 +226,7 @@ func RunFlowContext(ctx context.Context, p *PDK, spec SoCSpec, opts ...Option) (
 // same Option set.
 type (
 	// Option configures one run: pool width, cancellation, tracing,
-	// metrics, export sinks.
+	// metrics.
 	Option = exec.Option
 )
 
@@ -239,28 +244,6 @@ var (
 	// DefaultWorkers reports the default pool width (GOMAXPROCS or the
 	// M3D_WORKERS environment override).
 	DefaultWorkers = exec.DefaultWorkers
-)
-
-// Export sinks.
-type (
-	// Sinks bundles the optional GDS/Verilog/DEF export writers of a run.
-	Sinks = flow.Sinks
-)
-
-var (
-	// WithGDS streams the run's GDSII to w.
-	WithGDS = flow.WithGDS
-	// WithVerilog streams the run's structural Verilog to w.
-	WithVerilog = flow.WithVerilog
-	// WithDEF streams the run's placement DEF to w.
-	WithDEF = flow.WithDEF
-	// WithSinks attaches a full sink bundle (primary variant).
-	WithSinks = flow.WithSinks
-	// WithSinksAt attaches a sink bundle to batch spec i (RunFlowMany).
-	WithSinksAt = flow.WithSinksAt
-	// WithThermalCheck enables the Eq. 17 thermal sign-off stage
-	// (maxRiseK ≤ 0 uses the PDK budget); failures match ErrThermalLimit.
-	WithThermalCheck = flow.WithThermalCheck
 )
 
 // Observability (spans + metrics; see DESIGN.md §8 for the taxonomy).
@@ -304,9 +287,8 @@ func SweepBandwidthCS(p Params, w Load, csCounts []int, bwScales []float64, opts
 
 // RunFlowMany executes the RTL-to-GDS flow for every spec on the worker
 // pool, returning results in spec order. Identical specs are evaluated
-// once and share a *FlowResult regardless of export sinks: specs are
-// memoized by pure value and exports (WithSinksAt) are replayed from the
-// shared results afterwards.
+// once and share a *FlowResult: specs are memoized by pure value, and
+// exports are written from the shared results.
 func RunFlowMany(p *PDK, specs []SoCSpec, opts ...Option) ([]*FlowResult, error) {
 	return flow.RunMany(p, specs, opts...)
 }
