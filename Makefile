@@ -71,13 +71,15 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 prof/flow.test prof/cpu.out
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_objects prof/flow.test prof/mem.out
 
-# CPU + heap profile of a 4096-corner Monte-Carlo yield run through the
-# corner-batched STA kernel. Writes prof/yield_cpu.out, prof/yield_mem.out
-# and prints the top entries; dig deeper with
+# CPU + heap profile of 4096-corner Monte-Carlo yield windows through the
+# corner-batched STA kernel. The engine and its corner cache are built
+# once, and 2 s of windows put the kernel at ~80% of the CPU profile.
+# Writes prof/yield_cpu.out, prof/yield_mem.out and prints the top
+# entries; dig deeper with
 #   go tool pprof prof/vary.test prof/yield_cpu.out
 profile-yield:
 	mkdir -p prof
-	$(GO) test -run '^$$' -bench 'BenchmarkMonteCarloYield4096$$' -benchtime 3x -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkMonteCarloYield4096$$' -benchtime 2s -benchmem \
 		-cpuprofile prof/yield_cpu.out -memprofile prof/yield_mem.out \
 		-o prof/vary.test ./internal/vary/
 	$(GO) tool pprof -top -nodecount 15 prof/vary.test prof/yield_cpu.out

@@ -45,17 +45,20 @@ func BenchmarkSweepParallel(b *testing.B) {
 }
 
 // BenchmarkSweepParallelCached measures the steady-state path where the
-// whole grid is already memoized (repeated DSE queries on one grid).
+// whole grid is already memoized (repeated DSE queries on one grid). The
+// pool width is pinned to 2 so the tracked number does not depend on
+// the host's GOMAXPROCS.
 func BenchmarkSweepParallelCached(b *testing.B) {
 	p, w := benchLoad()
+	width := exec.WithWorkers(2)
 	sweepCache.Reset()
-	if _, err := SweepBandwidthCS(p, w, benchCS, benchBW); err != nil {
+	if _, err := SweepBandwidthCS(p, w, benchCS, benchBW, width); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepBandwidthCS(p, w, benchCS, benchBW); err != nil {
+		if _, err := SweepBandwidthCS(p, w, benchCS, benchBW, width); err != nil {
 			b.Fatal(err)
 		}
 	}

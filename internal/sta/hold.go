@@ -135,7 +135,8 @@ func (t *Timer) bestInput(inst *netlist.Instance) (float64, int32) {
 // model per corner.
 func netDelayParts(wm *WireModel, n *netlist.Net) (d float64, tier tech.Tier, scaled bool) {
 	rw, cw := wm.NetRC(n)
-	cTotal := cw + n.SinkCapF()
+	cSink := n.SinkCapF()
+	cTotal := cw + cSink
 	var rd, intrinsic float64
 	tier = tech.TierRRAM
 	if n.Driver != nil && !n.Driver.Inst.IsMacro() {
@@ -149,7 +150,7 @@ func netDelayParts(wm *WireModel, n *netlist.Net) (d float64, tier tech.Tier, sc
 	} else if n.Driver != nil {
 		rd = 200
 	}
-	d = intrinsic + 0.69*(rd*cTotal+rw*(cw/2+n.SinkCapF()))
+	d = intrinsic + 0.69*(rd*cTotal+rw*(cw/2+cSink))
 	return d, tier, n.Driver != nil
 }
 

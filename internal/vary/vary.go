@@ -50,12 +50,13 @@ type Corner struct {
 // drawn before — the property that makes Monte-Carlo fan-outs
 // width-deterministic.
 //
-// Because each draw is a pure function of (Variation, seed, i), corners
-// may be cached: Prime(n) precomputes the first n corners once, after
-// which Corner(i) is a slice read. Reseeding the per-draw RNG dominates
-// the cost of a cold draw (~2k generator-warmup steps), so priming is
-// what lets the yield engine and the DSE's per-point EDP bands reuse the
-// same corner stream thousands of times for free.
+// Each draw reads a math/rand stream seeded from (seed, i). The stream
+// comes from cornerSource, which matches rand.NewSource bit for bit but
+// seeds in O(1), so a cold draw costs four normal deviates (~150 ns
+// in all), not rand.NewSource's 1,841-step seeding loop. Because
+// each draw is a pure function of (Variation, seed, i), corners may
+// also be cached: Prime(n) precomputes the first n corners once, after
+// which Corner(i) is a slice read.
 type Sampler struct {
 	v    tech.Variation
 	seed uint64
@@ -113,7 +114,9 @@ func (s *Sampler) Corner(i int) Corner {
 	if c := s.primed.Load(); c != nil && i >= 0 && i < len(*c) {
 		return (*c)[i]
 	}
-	return s.drawCorner(rand.New(rand.NewSource(s.cornerSeed(i))), i)
+	src := new(cornerSource)
+	src.Seed(s.cornerSeed(i))
+	return s.drawCorner(rand.New(src), i)
 }
 
 // cornerSeed derives the i-th draw's RNG seed from the sampler seed.
@@ -122,10 +125,11 @@ func (s *Sampler) cornerSeed(i int) int64 {
 }
 
 // drawCorner consumes the fixed four-deviate sequence from rng (already
-// seeded with cornerSeed(i)) and builds the corner. Seeding a reused
-// *rand.Rand via Seed(cornerSeed(i)) produces the identical stream to a
-// fresh rand.New(rand.NewSource(...)), which is what lets Prime batch
-// draws without an allocation per corner — or a bit of divergence.
+// seeded with cornerSeed(i)) and builds the corner. rng reads the
+// stream of rand.NewSource(cornerSeed(i)), whether through a fresh
+// source or a reused *rand.Rand reseeded via Seed, which is what lets
+// Prime batch draws without an allocation per corner — or a bit of
+// divergence.
 func (s *Sampler) drawCorner(rng *rand.Rand, i int) Corner {
 	z0 := rng.NormFloat64()
 	rho := s.v.TierCorr
@@ -179,7 +183,7 @@ func (s *Sampler) Prime(n int) {
 		out = make([]Corner, len(have), newCap)
 		copy(out, have)
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(new(cornerSource))
 	for i := len(out); i < n; i++ {
 		rng.Seed(s.cornerSeed(i))
 		out = append(out, s.drawCorner(rng, i))

@@ -32,7 +32,8 @@ TRACKED="BenchmarkCacheChurnLRU BenchmarkCacheHitLRU BenchmarkCacheHitLRUParalle
 BenchmarkCacheHitUnbounded BenchmarkSweepSerial BenchmarkSweepParallelCached \
 BenchmarkSweepCached BenchmarkRunFlowReduced BenchmarkRouteNets \
 BenchmarkSTAFullTiming BenchmarkOptimizeDrivesIncremental \
-BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkPlaceGlobal"
+BenchmarkBatchCornerSTA BenchmarkMonteCarloSTA BenchmarkSamplerPrime65536 \
+BenchmarkPlaceGlobal"
 
 mkdir -p "$BENCHDIR"
 RAW="$(mktemp)"
@@ -62,7 +63,7 @@ run_bench "serve cached path" 'BenchmarkSweepCached' "$BENCHTIME" ./internal/ser
 run_bench "flow pipeline (reduced)" 'BenchmarkRunFlowReduced$' 1x ./internal/flow/
 run_bench "router" 'BenchmarkRouteNets$' "$BENCHTIME" ./internal/route/
 run_bench "sta full + incremental + batch" 'Benchmark(STAFullTiming|OptimizeDrivesIncremental|BatchCornerSTA)$' "$BENCHTIME" ./internal/sta/
-run_bench "variation mc sta" 'BenchmarkMonteCarloSTA$' "$BENCHTIME" ./internal/vary/
+run_bench "variation mc sta + corner draws" 'Benchmark(MonteCarloSTA|SamplerPrime65536)$' "$BENCHTIME" ./internal/vary/
 run_bench "placer" 'BenchmarkPlaceGlobal$' "$BENCHTIME" ./internal/place/
 
 # Every tracked benchmark must have produced at least one result line.
